@@ -5,11 +5,19 @@ c_{ij}^k for e_i . e_j = sum_k c_{ij}^k e_k (1-based indices, zero entries
 absent, so table equality is structural).  All the defining identities --
 left/right symmetry, the Novikov identity, associativity -- are decided
 exactly on basis triples, which suffices by multilinearity.
+
+Algebras are immutable: the table is a read-only mapping of read-only rows
+and attributes cannot be rebound.  That makes every invariant a function of
+the object alone, so each is computed once and kept in the object's private
+memo (see :func:`memoized`).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import QQ, ZERO, ONE
@@ -56,8 +64,49 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails on basis triple {triple}")
 
 
-def _normalize_table(dim: int, table: Mapping) -> dict:
-    out: dict[tuple[int, int], dict[int, object]] = {}
+def memoized(fn):
+    """Compute ``fn(owner, ...)`` once per owner and argument values.
+
+    The answer is kept in ``owner._memo`` under fn's name and its bound
+    arguments with defaults filled in, so ``f(A)`` and ``f(A, seed=DEFAULT)``
+    share one entry.  Owners are immutable, so an entry never goes stale;
+    a call that raises stores nothing."""
+    signature = inspect.signature(fn)
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        owner, *rest = bound.arguments.values()
+        key = (name, *rest)
+        memo = owner._memo
+        if key not in memo:
+            memo[key] = fn(*args, **kwargs)
+        return memo[key]
+
+    return cached
+
+
+class _Frozen:
+    """Attributes are set once, in ``__init__``, through ``_freeze``."""
+
+    __slots__ = ()
+
+    def _freeze(self, **attrs):
+        for attr, value in attrs.items():
+            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "_memo", {})
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {attr!r}")
+
+
+def _normalize_table(dim: int, table: Mapping) -> MappingProxyType:
+    out: dict[tuple[int, int], MappingProxyType] = {}
     for (i, j), entry in table.items():
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ValueError(f"index ({i},{j}) outside 1..{dim}")
@@ -69,21 +118,19 @@ def _normalize_table(dim: int, table: Mapping) -> dict:
             if c != 0:
                 row[k] = c
         if row:
-            out[(i, j)] = row
-    return out
+            out[(i, j)] = MappingProxyType(row)
+    return MappingProxyType(out)
 
 
-class Algebra:
-    """Structure-constant algebra over the rationals."""
+class Algebra(_Frozen):
+    """Structure-constant algebra over the rationals; immutable."""
 
-    __slots__ = ("name", "dim", "table")
+    __slots__ = ("name", "dim", "table", "_memo")
 
     def __init__(self, name: str, dim: int, table: Mapping):
         if dim < 1:
             raise ValueError("algebra dimension must be >= 1")
-        self.name = name
-        self.dim = dim
-        self.table = _normalize_table(dim, table)
+        self._freeze(name=name, dim=dim, table=_normalize_table(dim, table))
 
     def __eq__(self, other):
         return (
@@ -155,6 +202,18 @@ class Algebra:
         """(L(x), R(x)) with L(x)y = x.y and R(x)y = y.x."""
         return self.left_matrix(x), self.right_matrix(x)
 
+    @memoized
+    def left_ops(self) -> tuple[Matrix, ...]:
+        """(L(e_1), ..., L(e_n))."""
+        n = self.dim
+        return tuple(self.left_matrix(basis_vec(n, i)) for i in range(1, n + 1))
+
+    @memoized
+    def right_ops(self) -> tuple[Matrix, ...]:
+        """(R(e_1), ..., R(e_n))."""
+        n = self.dim
+        return tuple(self.right_matrix(basis_vec(n, i)) for i in range(1, n + 1))
+
     # -- identities --------------------------------------------------------
 
     def opposite(self) -> "Algebra":
@@ -164,6 +223,7 @@ class Algebra:
     def is_left_symmetric(self) -> bool:
         return self.left_symmetry_witness() is None
 
+    @memoized
     def left_symmetry_witness(self):
         """A violating basis triple (i,j,k) if (x,y,z) != (y,x,z), else None."""
         n = self.dim
@@ -233,6 +293,7 @@ class Algebra:
                     out[(i, j)] = b
         return out
 
+    @memoized
     def commutator_lie(self) -> "LieAlgebra":
         """The Lie algebra on [x,y] = x.y - y.x.
 
@@ -251,7 +312,7 @@ class Algebra:
         n = self.dim
         if bracket is not None and bracket.dim != n:
             raise ValueError("bracket dimension mismatch")
-        mats = [self.left_matrix(basis_vec(n, i)) for i in range(1, n + 1)]
+        mats = self.left_ops()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 ei, ej = basis_vec(n, i), basis_vec(n, j)
@@ -351,20 +412,18 @@ class LieProperties:
     center: Subspace
 
 
-class LieAlgebra:
-    """Lie algebra with exact antisymmetric structure constants.
+class LieAlgebra(_Frozen):
+    """Lie algebra with exact antisymmetric structure constants; immutable.
 
     The Jacobi identity is verified at construction; an invalid table raises
     JacobiError with a violating basis triple.
     """
 
-    __slots__ = ("name", "dim", "brackets")
+    __slots__ = ("name", "dim", "brackets", "_memo")
 
     def __init__(self, name: str, dim: int, brackets: Mapping):
         if dim < 1:
             raise ValueError("Lie algebra dimension must be >= 1")
-        self.name = name
-        self.dim = dim
         table = {}
         for (i, j), b in brackets.items():
             if i >= j:
@@ -374,7 +433,7 @@ class LieAlgebra:
                 raise ValueError("bracket vector dimension mismatch")
             if not is_zero_vec(v):
                 table[(i, j)] = v
-        self.brackets = table
+        self._freeze(name=name, dim=dim, brackets=MappingProxyType(table))
         self._check_jacobi()
 
     def bracket_basis(self, i: int, j: int) -> Vec:
@@ -470,6 +529,7 @@ class LieAlgebra:
             rows.extend(mat.data)
         return Matrix(rows).kernel() if rows else Subspace.full(n)
 
+    @memoized
     def properties(self) -> LieProperties:
         lcs = self.lower_central_series()
         ds = self.derived_series()

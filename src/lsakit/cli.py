@@ -24,7 +24,7 @@ from .radicals import (
     clan_check,
     radical_tower,
 )
-from .cohomology import derivation_space, lsa_cohomology
+from .cohomology import MAX_LSA_DEGREE, derivation_space, lsa_cohomology
 from .simplicity import (
     CatalogError,
     catalog_documents,
@@ -397,6 +397,21 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: an integer in lo..hi (no upper bound if hi is None);
+    anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            allowed = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"{value} is not in {allowed}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsakit",
@@ -404,11 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                         help="probe seed (default 0xC0FFEE)")
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                        help="random probe count (default 32)")
+    parser.add_argument("--samples", type=_int_in(0), default=DEFAULT_SAMPLES,
+                        help="random probe count, >= 0 (default 32)")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
-    parser.add_argument("--degree-cap", type=int, default=3, dest="degree_cap",
-                        help="highest cohomology degree to compute (default 3)")
+    parser.add_argument("--degree-cap", type=_int_in(1, MAX_LSA_DEGREE), default=3,
+                        dest="degree_cap",
+                        help=f"highest cohomology degree to compute, 1..{MAX_LSA_DEGREE} "
+                        "(default 3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify the declared identity of a document")

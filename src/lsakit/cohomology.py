@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .scalars import QQ, ZERO, ONE
 from .linalg import Matrix, Subspace
-from .algebra import Algebra, Vec, basis_vec
+from .algebra import Algebra, Vec, basis_vec, memoized
 
 MAX_LSA_DEGREE = 3
 MAX_COMPOSE_ENTRIES = 4**5
@@ -267,13 +267,18 @@ def _coboundary_rows(A: Algebra, p: int):
                             if coeff == 0:
                                 continue
                             rest = b[1:]
-                            t4 = list(rest[: i - 1])
-                            t4.insert(i - 1, a)
-                            # after inserting a at i-1, insert d at j-1
+                            # insert a at slot i-1, then d at slot j-1
                             t4 = rest[: i - 1] + (a,) + rest[i - 1 :]
                             t4 = t4[: j - 1] + (d,) + t4[j - 1 :]
                             add(t4, c, col, sign * coeff)
     return list(rows.values()), n**p * n
+
+
+@memoized
+def _coboundary_rank(A: Algebra, p: int) -> int:
+    """rank d_p, computed once per algebra; the rows themselves are dropped."""
+    rows, _ = _coboundary_rows(A, p)
+    return sparse_rank(rows)
 
 
 def sparse_rank(rows) -> int:
@@ -309,22 +314,20 @@ class CohomologyDims:
 
 
 def lsa_cohomology(A: Algebra, p: int) -> CohomologyDims:
-    """dim Z^p, B^p, H^p of the left-symmetric complex, exactly."""
+    """dim Z^p, B^p, H^p of the left-symmetric complex, exactly.  The rank
+    of each d_q is computed once per algebra and shared between degrees."""
     if not 1 <= p <= MAX_LSA_DEGREE:
         raise DegreeError(f"degree must be in 1..{MAX_LSA_DEGREE}")
     n = A.dim
     dim_cp = n**p * n
-    rows_p, _ = _coboundary_rows(A, p)
-    rank_p = sparse_rank(rows_p)
-    if p == 1:
-        rank_prev = 0  # the displayed complex has vanishing bottom map
-    else:
-        rows_prev, _ = _coboundary_rows(A, p - 1)
-        rank_prev = sparse_rank(rows_prev)
+    rank_p = _coboundary_rank(A, p)
+    # the displayed complex has vanishing bottom map
+    rank_prev = _coboundary_rank(A, p - 1) if p > 1 else 0
     dim_z = dim_cp - rank_p
     return CohomologyDims(p, dim_cp, dim_z, rank_prev, dim_z - rank_prev)
 
 
+@memoized
 def derivation_space(A: Algebra) -> Subspace:
     """Solutions D of D(x.y) = D(x).y + x.D(y), solved directly from the
     Leibniz system (independent of the coboundary code path)."""

@@ -20,6 +20,9 @@ result carries an explicit certificate flag.  Sums of solvable (resp.
 left-nilpotent) ideals stay solvable (resp. left-nilpotent), so the probed
 subspace is always an honest lower bound and itself an ideal of the claimed
 kind.
+
+Every radical is computed once per algebra (and per probe seed and sample
+count): the public functions here read from the algebra's memo.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .algebra import (
     Vec,
     basis_vec,
     is_zero_vec,
+    memoized,
     vec,
     vec_add,
 )
@@ -69,11 +73,10 @@ def _require_lsa(A: Algebra):
 
 def trace_vector(A: Algebra) -> Vec:
     """The linear functional x -> tr R(x) as a coefficient vector."""
-    return tuple(
-        A.right_matrix(basis_vec(A.dim, i)).trace() for i in range(1, A.dim + 1)
-    )
+    return tuple(R.trace() for R in A.right_ops())
 
 
+@memoized
 def trace_subspace(A: Algebra) -> Subspace:
     """T(A) = {x : tr R(x) = 0}; dim >= n - 1 since the condition is linear."""
     t = trace_vector(A)
@@ -90,6 +93,7 @@ class CompletenessReport:
     id_plus_right_invertible: bool
 
 
+@memoized
 def is_complete(A: Algebra, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> CompletenessReport:
     """Complete iff tr R(x) = 0 for all x (linear, so basis traces decide).
 
@@ -102,8 +106,7 @@ def is_complete(A: Algebra, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_
     traces = trace_vector(A)
     complete = is_zero_vec(traces)
     t_n = Poly.x_power(n)
-    rights = [A.right_matrix(basis_vec(n, i)) for i in range(1, n + 1)]
-    nilpotent = all(R.char_poly() == t_n for R in rights)
+    nilpotent = all(R.char_poly() == t_n for R in A.right_ops())
     rng = random.Random(seed)
     probes = [basis_vec(n, i) for i in range(1, n + 1)] + [
         vec([rng.randint(-3, 3) for _ in range(n)]) for _ in range(samples)
@@ -128,9 +131,7 @@ def _constrained_descent(A: Algebra, W: Subspace, sides: str) -> Subspace:
     """Largest subspace I of W with L(e_i) I <= I (sides 'l'), R(e_i) I <= I
     ('r'), or both ('lr'); exact descending fixed point, <= dim A steps."""
     n = A.dim
-    lefts = [A.left_matrix(basis_vec(n, i)) for i in range(1, n + 1)]
-    rights = [A.right_matrix(basis_vec(n, i)) for i in range(1, n + 1)]
-    ops = (lefts if "l" in sides else []) + (rights if "r" in sides else [])
+    ops = (A.left_ops() if "l" in sides else ()) + (A.right_ops() if "r" in sides else ())
     current = W
     while True:
         if current.dim == 0:
@@ -180,6 +181,7 @@ class KoszulReport:
     is_two_sided_ideal: bool
 
 
+@memoized
 def koszul_radical(A: Algebra) -> KoszulReport:
     """rad(A): the largest left ideal contained in T(A).
 
@@ -193,12 +195,13 @@ def koszul_radical(A: Algebra) -> KoszulReport:
 
 def trace_form_gram(A: Algebra) -> Matrix:
     n = A.dim
-    rights = [A.right_matrix(basis_vec(n, i)) for i in range(1, n + 1)]
+    rights = A.right_ops()
     return Matrix(
         [[(rights[i] * rights[j]).trace() for j in range(n)] for i in range(n)]
     )
 
 
+@memoized
 def trace_form_radical(A: Algebra) -> Subspace:
     """A_perp: kernel of the symmetric Gram matrix tr R(e_i) R(e_j)."""
     return trace_form_gram(A).kernel()
@@ -223,6 +226,11 @@ def is_solvable_ideal(A: Algebra, I: Subspace) -> bool:
     """I^(k+1) = I^(k) . I^(k) reaches 0.  The chain is decreasing because
     I is an ideal, so it stabilizes within dim A steps."""
     _require_two_sided(A, I)
+    return _derived_series_vanishes(A, I)
+
+
+def _derived_series_vanishes(A: Algebra, I: Subspace) -> bool:
+    """is_solvable_ideal for an I already known to be a two-sided ideal."""
     current = I
     while current.dim > 0:
         nxt = _product_span(A, current, current)
@@ -235,6 +243,11 @@ def is_solvable_ideal(A: Algebra, I: Subspace) -> bool:
 def is_left_nilpotent_ideal(A: Algebra, I: Subspace) -> bool:
     """The chain I, I.I, I.(I.I), ... (left multiplications from I) reaches 0."""
     _require_two_sided(A, I)
+    return _left_powers_vanish(A, I)
+
+
+def _left_powers_vanish(A: Algebra, I: Subspace) -> bool:
+    """is_left_nilpotent_ideal for an I already known to be a two-sided ideal."""
     current = I
     for _ in range(A.dim + 1):
         if current.dim == 0:
@@ -248,7 +261,10 @@ def is_left_nilpotent_ideal(A: Algebra, I: Subspace) -> bool:
 
 def ideal_generated(A: Algebra, seed_vectors, side: str = "two_sided") -> Subspace:
     """Smallest ideal of the requested sidedness containing the input,
-    by spinning under the basis multiplication operators."""
+    by spinning under the basis multiplication operators.  The loop stops
+    only after a pass in which every product e_i . v and v . e_i of the
+    requested sides lies in the span, so the answer is an ideal by
+    construction."""
     n = A.dim
     if isinstance(seed_vectors, Subspace):
         vecs = seed_vectors.basis_vectors()
@@ -290,6 +306,7 @@ def _probe_vectors(n: int, rng: random.Random, samples: int) -> list[Vec]:
     return [p for p in probes if not is_zero_vec(p)]
 
 
+@memoized
 def solvable_radical(
     A: Algebra, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 ) -> tuple[Subspace, Certificate]:
@@ -310,7 +327,7 @@ def solvable_radical(
         found = []
         for p in _probe_vectors(Q.dim, rng, samples):
             I = ideal_generated(Q, p, "two_sided")
-            if 0 < I.dim and is_solvable_ideal(Q, I):
+            if 0 < I.dim and _derived_series_vanishes(Q, I):
                 found.extend(I.basis_vectors())
         if not found:
             break
@@ -327,6 +344,7 @@ def solvable_radical(
     return total, status
 
 
+@memoized
 def nil_radical(
     A: Algebra, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 ) -> tuple[Subspace, Certificate]:
@@ -353,7 +371,7 @@ def nil_radical(
         if total == upper:
             break
         I = ideal_generated(A, p, "two_sided")
-        if 0 < I.dim and is_left_nilpotent_ideal(A, I):
+        if 0 < I.dim and _left_powers_vanish(A, I):
             members.extend(I.basis_vectors())
             total = Subspace.from_vectors(n, members)
     if total.dim > 0 and not is_left_nilpotent_ideal(A, total):
@@ -371,6 +389,7 @@ class NilProbeReport:
     claims_exact_set: bool
 
 
+@memoized
 def nil_set_probe(
     A: Algebra, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 ) -> NilProbeReport:
@@ -465,7 +484,7 @@ def clan_check(
     system e.e_i = e_i.e = e_i."""
     _require_lsa(A)
     n = A.dim
-    lefts = [A.left_matrix(basis_vec(n, i)) for i in range(1, n + 1)]
+    lefts = A.left_ops()
 
     def s_of(x: Vec):
         return A.left_matrix(x).trace()
@@ -488,7 +507,7 @@ def clan_check(
             positive = False
             break
     rng = random.Random(seed)
-    eig_probes = lefts + [
+    eig_probes = list(lefts) + [
         A.left_matrix(vec([rng.randint(-3, 3) for _ in range(n)]))
         for _ in range(samples)
     ]
@@ -498,9 +517,8 @@ def clan_check(
     # unit: 2n^2 linear conditions on e
     rows = []
     rhs = []
-    for i in range(1, n + 1):
+    for i, (Li, Ri) in enumerate(zip(lefts, A.right_ops()), start=1):
         e_i = basis_vec(n, i)
-        Li, Ri = A.left_matrix(e_i), A.right_matrix(e_i)
         # e . e_i = e_i: row block R(e_i)^T acting... e.e_i = R(e_i) e
         for r in range(n):
             rows.append(Ri.data[r])
@@ -550,8 +568,7 @@ def helmstetter_extension(A: Algebra) -> Algebra:
         for q in range(1, n + 1):
             add(E(p, q), e(q), e(p), ONE)
     # (0, e_i)(E_rs, 0) = ([L(e_i), E_rs], E_rs e_i) = ([L, E_rs], delta_si e_r)
-    for i in range(1, n + 1):
-        L = A.left_matrix(basis_vec(n, i))
+    for i, L in enumerate(A.left_ops(), start=1):
         for r in range(1, n + 1):
             for s in range(1, n + 1):
                 # L E_rs = sum_p L[p-1][r-1] E_ps ; E_rs L = sum_q L[s-1][q-1] E_rq

@@ -99,9 +99,7 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
 
 def left_regular_rep(A: Algebra) -> Representation:
     """theta = L of a left-symmetric algebra, over its commutator Lie algebra."""
-    g = A.commutator_lie()
-    images = [A.left_matrix(basis_vec(A.dim, i)) for i in range(1, A.dim + 1)]
-    return Representation(g, images)
+    return Representation(A.commutator_lie(), A.left_ops())
 
 
 def _hom_flatten(omega: Matrix) -> list:
@@ -219,8 +217,7 @@ def affine_embedding(A: Algebra) -> Representation:
     n = A.dim
     g = A.commutator_lie()
     images = []
-    for i in range(1, n + 1):
-        L = A.left_matrix(basis_vec(n, i))
+    for i, L in enumerate(A.left_ops(), start=1):
         M = Matrix.zeros(n + 1, n + 1).row_list()
         for r in range(n):
             for c in range(n):

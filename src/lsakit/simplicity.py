@@ -20,10 +20,12 @@ from importlib import resources
 
 from .scalars import QQ, ONE
 from .linalg import Matrix, Subspace
-from .algebra import Algebra, LieAlgebra, basis_vec, is_zero_vec
+from .algebra import Algebra, LieAlgebra, basis_vec, is_zero_vec, memoized
 from .polys import Poly, UnsupportedDegreeError, factor_small
 from .radicals import (
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    InternalInconsistencyError,
     ideal_generated,
     is_complete,
     is_ideal,
@@ -60,11 +62,7 @@ def multiplication_algebra(A: Algebra) -> list[Matrix]:
     """Basis of the associative algebra generated by Id and all L(e_i),
     R(e_i), closed under products; dimension stabilizes the closure."""
     n = A.dim
-    gens = [Matrix.identity(n)]
-    for i in range(1, n + 1):
-        for M in A.left_right_ops(basis_vec(n, i)):
-            if not M.is_zero():
-                gens.append(M)
+    gens = [Matrix.identity(n)] + _basis_ops(A)
 
     def flatten(M: Matrix):
         return [x for row in M.data for x in row]
@@ -82,6 +80,26 @@ def multiplication_algebra(A: Algebra) -> list[Matrix]:
             queue.append(M * G)
             queue.append(G * M)
     return basis
+
+
+def _basis_ops(A: Algebra) -> list[Matrix]:
+    """The nonzero L(e_i), R(e_i), in the order L(e_1), R(e_1), L(e_2), ..."""
+    return [
+        M
+        for LR in zip(A.left_ops(), A.right_ops())
+        for M in LR
+        if not M.is_zero()
+    ]
+
+
+def _verified_ideal(A: Algebra, I: Subspace) -> Subspace:
+    """I itself, after checking that it is a two-sided ideal: a NotSimple
+    witness is verified, also under ``python -O``."""
+    if not is_ideal(A, I, "two_sided"):
+        raise InternalInconsistencyError(
+            "is_simple produced a NotSimple witness that is not a two-sided ideal"
+        )
+    return I
 
 
 def _spin(vectors, gens: list[Matrix], n: int) -> Subspace:
@@ -108,6 +126,7 @@ def _poly_at_matrix(p: Poly, M: Matrix) -> Matrix:
     return acc
 
 
+@memoized
 def is_simple(A: Algebra, seed: int = DEFAULT_SEED, budget: int = MEATAXE_BUDGET) -> SimplicityVerdict:
     n = A.dim
     if A.is_trivial():
@@ -126,16 +145,10 @@ def is_simple(A: Algebra, seed: int = DEFAULT_SEED, budget: int = MEATAXE_BUDGET
     for p in probes:
         I = ideal_generated(A, p, "two_sided")
         if 0 < I.dim < n:
-            assert is_ideal(A, I, "two_sided")
-            return SimplicityVerdict(Verdict.NOT_SIMPLE, I, None)
+            return SimplicityVerdict(Verdict.NOT_SIMPLE, _verified_ideal(A, I), None)
 
     # Phase 2: meataxe over the multiplication algebra.
-    gens = [
-        M
-        for i in range(1, n + 1)
-        for M in A.left_right_ops(basis_vec(n, i))
-        if not M.is_zero()
-    ]
+    gens = _basis_ops(A)
     gens_t = [g.transpose() for g in gens]
     rng = random.Random(seed)
 
@@ -176,8 +189,7 @@ def is_simple(A: Algebra, seed: int = DEFAULT_SEED, budget: int = MEATAXE_BUDGET
                     proper = W
                     break
             if proper is not None:
-                assert is_ideal(A, proper, "two_sided")
-                return SimplicityVerdict(Verdict.NOT_SIMPLE, proper, None)
+                return SimplicityVerdict(Verdict.NOT_SIMPLE, _verified_ideal(A, proper), None)
             if N.dim == f.degree:
                 # minimal nullity: one spin on each side decides
                 Nt = _poly_at_matrix(f, z.transpose()).kernel()
@@ -192,8 +204,11 @@ def is_simple(A: Algebra, seed: int = DEFAULT_SEED, budget: int = MEATAXE_BUDGET
                     return SimplicityVerdict(Verdict.SIMPLE, None, certificate)
                 # the annihilator of the transposed spin is a proper submodule
                 perp = Matrix(list(Wt.basis.data), cols=n).kernel()
-                assert 0 < perp.dim < n and is_ideal(A, perp, "two_sided")
-                return SimplicityVerdict(Verdict.NOT_SIMPLE, perp, None)
+                if not 0 < perp.dim < n:
+                    raise InternalInconsistencyError(
+                        "the annihilator of a proper transposed spin is not a proper subspace"
+                    )
+                return SimplicityVerdict(Verdict.NOT_SIMPLE, _verified_ideal(A, perp), None)
     return SimplicityVerdict(Verdict.INCONCLUSIVE, None, None)
 
 
@@ -360,11 +375,14 @@ class Fingerprint:
 
 def structural_fingerprint(A: Algebra, h_max: int = 3, seed: int = DEFAULT_SEED) -> Fingerprint:
     """Isomorphism-invariant summary tuple (equality does NOT certify
-    isomorphism).  h_max caps the cohomology degrees computed."""
-    comp = is_complete(A, seed=seed)
+    isomorphism).  h_max caps the cohomology degrees computed.  The probed
+    radicals and completeness use ``DEFAULT_SAMPLES`` random probes with the
+    given seed; every value is read from the algebra's memo when already
+    computed."""
+    comp = is_complete(A, DEFAULT_SAMPLES, seed)
     lie = A.commutator_lie().properties()
-    sol, _ = solvable_radical(A, seed=seed)
-    nil, _ = nil_radical(A, seed=seed)
+    sol, _ = solvable_radical(A, seed, DEFAULT_SAMPLES)
+    nil, _ = nil_radical(A, seed, DEFAULT_SAMPLES)
     hs = tuple(
         lsa_cohomology(A, p).dim_cohomology for p in range(1, h_max + 1)
     )

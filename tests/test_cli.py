@@ -227,3 +227,28 @@ def test_every_catalog_entry_passes_check(tmp_path):
 def test_usage_error_exit_two():
     proc = run_cli("mu")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--degree-cap", "4"),
+        ("--degree-cap", "0"),
+        ("--degree-cap", "-1"),
+        ("--degree-cap", "two"),
+        ("--samples", "-5"),
+        ("--samples", "1.5"),
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_bad_global_flag_exit_two(flags, a2_file):
+    proc = run_cli(*flags, "analyze", a2_file)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert flags[0] in proc.stderr
+
+
+def test_global_flags_accept_their_bounds(a2_file):
+    proc = run_cli("--json", "--samples", "0", "--degree-cap", "1", "analyze", a2_file)
+    assert proc.returncode == 0, proc.stderr
+    assert list(json.loads(proc.stdout)["cohomology"]) == ["H1"]

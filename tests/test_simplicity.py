@@ -225,3 +225,34 @@ def test_direct_sum_is_not_simple(dim2_simple):
     verdict = is_simple(S)
     assert verdict.verdict is Verdict.NOT_SIMPLE
     assert verdict.witness.dim == 2
+
+
+def test_notsimple_witness_is_verified_under_python_O():
+    """The witness check is not an assert: with asserts stripped, a witness
+    that fails the ideal test still raises InternalInconsistencyError."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lsakit
+
+    script = (
+        "import sys\n"
+        "from lsakit import simplicity\n"
+        "from lsakit.radicals import InternalInconsistencyError\n"
+        "simplicity.is_ideal = lambda *args, **kwargs: False\n"
+        "try:\n"
+        "    simplicity.is_simple(simplicity.strict_upper(3))\n"
+        "except InternalInconsistencyError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+        "else:\n"
+        "    print('accepted', sys.flags.optimize)\n"
+    )
+    src = str(Path(lsakit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "1"]
