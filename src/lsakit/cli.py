@@ -33,10 +33,12 @@ from .simplicity import (
     structural_fingerprint,
 )
 from .serialize import DocumentError, document_to_algebra, format_document, parse_document
-from .trees import enumerate_trees, graft_product, parse_tree, rooted_tree_count
+from .trees import MAX_ENUM_ORDER, enumerate_trees, graft_product, parse_tree, rooted_tree_count
 from .words import format_word_sum, insert_product, parse_word
 from .witt import check_novikov_truncated, monomial_generators, witt_associator, TruncationError
 from .repdim import (
+    MAX_ASYMPTOTIC_ARG,
+    MAX_PARTITION_ARG,
     asymptotic_bounds_check,
     mu_bound_report,
     mu_table,
@@ -254,8 +256,10 @@ def cmd_simple(args) -> int:
 
 def cmd_mu(args) -> int:
     report: dict = {}
-    if args.pair:
+    if args.pair is not None:
         n, k = args.pair
+        if not 1 <= k <= n:
+            raise argparse.ArgumentTypeError(f"--pair needs 1 <= K <= N, got N={n} K={k}")
         bounds = mu_bound_report(n, k)
         report["pair"] = {
             "n": n,
@@ -267,13 +271,13 @@ def cmd_mu(args) -> int:
         if not args.json:
             print(f"{bounds.reed} {bounds.binomial} {bounds.partition}")
             return EXIT_OK
-    if args.table:
+    if args.table is not None:
         t = mu_table(args.table)
         report["table"] = [
             {"k": k, "partition": p, "binomial": b, "reed": r} for k, p, b, r in t.rows
         ]
         report["partition_numbers"] = list(t.partitions)
-    if args.sweep:
+    if args.sweep is not None:
         n = args.sweep
         ok = True
         for m in range(4, min(n, 60) + 1):
@@ -299,7 +303,7 @@ def cmd_mu(args) -> int:
 
 def cmd_trees(args) -> int:
     report: dict = {}
-    if args.count:
+    if args.count is not None:
         m = args.count
         generated = len(enumerate_trees(m)) if m <= 8 else None
         recurrence = rooted_tree_count(m)
@@ -311,7 +315,7 @@ def cmd_trees(args) -> int:
         if not args.json:
             print(recurrence)
             return EXIT_OK
-    if args.enumerate:
+    if args.enumerate is not None:
         ts = enumerate_trees(args.enumerate)
         report["trees"] = [t.serial for t in ts]
     if args.graft:
@@ -445,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simple)
 
     p = sub.add_parser("mu", help="faithful-degree bound tables and checks")
-    p.add_argument("--pair", nargs=2, type=int, metavar=("N", "K"))
-    p.add_argument("--table", type=int, metavar="N")
-    p.add_argument("--sweep", type=int, metavar="N")
+    p.add_argument("--pair", nargs=2, type=_int_in(0, MAX_PARTITION_ARG), metavar=("N", "K"))
+    p.add_argument("--table", type=_int_in(0, MAX_PARTITION_ARG), metavar="N")
+    p.add_argument("--sweep", type=_int_in(1, MAX_ASYMPTOTIC_ARG), metavar="N")
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("trees", help="rooted tree enumeration and grafting")
-    p.add_argument("--count", type=int, metavar="ORDER")
-    p.add_argument("--enumerate", type=int, metavar="ORDER")
+    p.add_argument("--count", type=_int_in(1), metavar="ORDER")
+    p.add_argument("--enumerate", type=_int_in(1, MAX_ENUM_ORDER), metavar="ORDER")
     p.add_argument("--graft", nargs=2, metavar=("T1", "T2"))
     p.set_defaults(func=cmd_trees)
 

@@ -17,6 +17,12 @@ the first p arguments only.  d(d(f)) = 0 whenever the base product is
 left-symmetric (degree 1 is a short computation from the symmetrized
 associator; higher degrees are property-tested exhaustively at desk sizes).
 
+Each entry of the matrix of d_p is a signed sum of structure constants, so
+D d_p is an integer matrix for D the lcm of their denominators.  There is
+one coboundary operator: the sparse integer rows of D d_p.  Cohomology
+ranks come from fraction-free elimination of those rows over Z, and
+``lsa_coboundary`` applies the same rows to a cochain and divides by D.
+
 The composition product (f o g) inserts g into each slot of f; its signed
 version with weight (-1)^((q-1)(i-1)) at slot i makes the cochain space a
 graded right-symmetric algebra for the grading |f| = degree - 1, and the
@@ -27,10 +33,11 @@ associative multiplication cochain mu.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from .scalars import QQ, ZERO, ONE
+from .scalars import QQ, ZERO
 from .linalg import Matrix, Subspace
 from .algebra import Algebra, Vec, basis_vec, memoized
 
@@ -144,81 +151,34 @@ class Cochain:
 
 
 def lsa_coboundary(A: Algebra, f: Cochain) -> Cochain:
-    """The degree-raising coboundary of the left-symmetric complex."""
+    """The degree-raising coboundary of the left-symmetric complex, applied
+    as the matrix that the cohomology ranks are computed from."""
     p = f.degree
     n = A.dim
     if f.base_dim != n:
         raise ValueError("cochain base dimension does not match the algebra")
     if p > MAX_LSA_DEGREE:
         raise DegreeError(f"coboundary computed for degree <= {MAX_LSA_DEGREE} only")
-    prod = [[A.prod_basis_vec(i + 1, j + 1) for j in range(n)] for i in range(n)]
-    brk = [
-        [
-            tuple(a - b for a, b in zip(prod[i][j], prod[j][i]))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    out = []
-    for args in itertools.product(range(n), repeat=p + 1):
-        val = [ZERO] * n
-        for i in range(1, p + 1):
-            sign = 1 if i % 2 else -1
-            xi = args[i - 1]
-            # x_i . f(..x_i dropped.., x_{p+1})
-            fv = f.value(args[: i - 1] + args[i:])
-            for k in range(n):
-                if fv[k]:
-                    row = prod[xi][k]
-                    c = fv[k] if sign > 0 else -fv[k]
-                    for m in range(n):
-                        if row[m]:
-                            val[m] += c * row[m]
-            # f(..x_i dropped.., x_i) . x_{p+1}
-            fv = f.value(args[: i - 1] + args[i : p] + (xi,))
-            last = args[p]
-            for k in range(n):
-                if fv[k]:
-                    row = prod[k][last]
-                    c = fv[k] if sign > 0 else -fv[k]
-                    for m in range(n):
-                        if row[m]:
-                            val[m] += c * row[m]
-            # - f(..x_i dropped.., x_i . x_{p+1})
-            head = args[: i - 1] + args[i : p]
-            pv = prod[xi][args[p]]
-            for k in range(n):
-                if pv[k]:
-                    fv = f.value(head + (k,))
-                    c = pv[k] if sign > 0 else -pv[k]
-                    for m in range(n):
-                        if fv[m]:
-                            val[m] -= c * fv[m]
-        for i in range(1, p + 1):
-            for j in range(i + 1, p + 1):
-                sign = 1 if (i + j) % 2 == 0 else -1
-                bv = brk[args[i - 1]][args[j - 1]]
-                rest = tuple(
-                    a for t, a in enumerate(args) if t not in (i - 1, j - 1)
-                )
-                for k in range(n):
-                    if bv[k]:
-                        fv = f.value((k,) + rest)
-                        c = bv[k] if sign > 0 else -bv[k]
-                        for m in range(n):
-                            if fv[m]:
-                                val[m] += c * fv[m]
-        out.extend(val)
+    rows, scale = _coboundary_rows(A, p)
+    t = f.tensor
+    out = [ZERO] * (n ** (p + 1) * n)
+    for r, row in rows.items():
+        out[r] = sum((v * t[col] for col, v in row.items()), ZERO) / scale
     return Cochain(n, p + 1, tuple(out))
 
 
 def _coboundary_rows(A: Algebra, p: int):
-    """The matrix of the degree-p coboundary as sparse rows
-    {column -> value}; row index = flat(output args)*n + component."""
+    """D times the matrix of the degree-p coboundary, as sparse integer rows
+    {row -> {column -> int}}, and D, the lcm of the denominators of A's
+    structure constants.  Rows and columns follow the cochain tensor layout:
+    index = flat(args)*n + component.  Each entry is a signed sum of
+    structure constants; entries that cancel are dropped, rows that cancel
+    to empty are kept."""
     n = A.dim
+    scale = math.lcm(*(c.denominator for e in A.table.values() for c in e.values()))
+    rows: dict[int, dict[int, int]] = {}
     if p == 0:
-        return [], n**p * n
-    rows: dict[int, dict[int, object]] = {}
+        return rows, scale
 
     def flat(args: tuple[int, ...]) -> int:
         idx = 0
@@ -227,81 +187,101 @@ def _coboundary_rows(A: Algebra, p: int):
         return idx
 
     def add(out_args, component, col, value):
-        if value == 0:
-            return
         r = flat(out_args) * n + component
         row = rows.setdefault(r, {})
-        row[col] = row.get(col, ZERO) + value
-        if row[col] == 0:
+        v = row.get(col, 0) + value
+        if v:
+            row[col] = v
+        else:
             del row[col]
 
-    prod = [[A.prod_basis(i + 1, j + 1) for j in range(n)] for i in range(n)]
+    # prod[i][j] = D (e_i . e_j) as {0-based component -> int}
+    prod = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), entry in A.table.items():
+        prod[i - 1][j - 1] = {
+            k - 1: c.numerator * (scale // c.denominator) for k, c in entry.items()
+        }
+    # hits[m][a]: the (d, D c_ad^m) with c_ad^m != 0; brk[m]: the (a, d, D
+    # c_ad^m - D c_da^m) that do not vanish
+    hits = [[[(d, prod[a][d][m]) for d in range(n) if m in prod[a][d]]
+             for a in range(n)] for m in range(n)]
+    brk = [[(a, d, prod[a][d].get(m, 0) - prod[d][a].get(m, 0))
+            for a in range(n) for d in range(n)
+            if prod[a][d].get(m, 0) != prod[d][a].get(m, 0)] for m in range(n)]
     for b in itertools.product(range(n), repeat=p):
         for c in range(n):
             col = flat(b) * n + c
             for i in range(1, p + 1):
-                sign = ONE if i % 2 else -ONE
+                sign = 1 if i % 2 else -1
                 for a in range(n):
                     # sum 1: output (b with a inserted at slot i), component from e_a . e_c
                     t = b[: i - 1] + (a,) + b[i - 1 :]
                     for k, v in prod[a][c].items():
-                        add(t, k - 1, col, sign * v)
+                        add(t, k, col, sign * v)
                     # sum 2: f args (b[:p-1], b[p-1]) where x_i = b[p-1]
                     t2 = b[: i - 1] + (b[p - 1],) + b[i - 1 : p - 1] + (a,)
                     for k, v in prod[c][a].items():
-                        add(t2, k - 1, col, sign * v)
+                        add(t2, k, col, sign * v)
                     # sum 3: last f-arg is the product x_i . x_{p+1}
-                    for d in range(n):
-                        coeff = prod[a][d].get(b[p - 1] + 1)
-                        if coeff:
-                            t3 = b[: i - 1] + (a,) + b[i - 1 : p - 1] + (d,)
-                            add(t3, c, col, -sign * coeff)
+                    for d, coeff in hits[b[p - 1]][a]:
+                        t3 = b[: i - 1] + (a,) + b[i - 1 : p - 1] + (d,)
+                        add(t3, c, col, -sign * coeff)
             for i in range(1, p + 1):
                 for j in range(i + 1, p + 1):
-                    sign = ONE if (i + j) % 2 == 0 else -ONE
-                    for a in range(n):
-                        for d in range(n):
-                            coeff = prod[a][d].get(b[0] + 1, ZERO) - prod[d][a].get(
-                                b[0] + 1, ZERO
-                            )
-                            if coeff == 0:
-                                continue
-                            rest = b[1:]
-                            # insert a at slot i-1, then d at slot j-1
-                            t4 = rest[: i - 1] + (a,) + rest[i - 1 :]
-                            t4 = t4[: j - 1] + (d,) + t4[j - 1 :]
-                            add(t4, c, col, sign * coeff)
-    return list(rows.values()), n**p * n
+                    sign = 1 if (i + j) % 2 == 0 else -1
+                    rest = b[1:]
+                    for a, d, coeff in brk[b[0]]:
+                        # insert a at slot i-1, then d at slot j-1
+                        t4 = rest[: i - 1] + (a,) + rest[i - 1 :]
+                        t4 = t4[: j - 1] + (d,) + t4[j - 1 :]
+                        add(t4, c, col, sign * coeff)
+    return rows, scale
 
 
 @memoized
 def _coboundary_rank(A: Algebra, p: int) -> int:
     """rank d_p, computed once per algebra; the rows themselves are dropped."""
     rows, _ = _coboundary_rows(A, p)
-    return sparse_rank(rows)
+    return sparse_rank(list(rows.values()))
+
+
+def _primitive(row: dict) -> dict:
+    """row divided by the gcd of its entries (an empty row is returned as is)."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
 
 
 def sparse_rank(rows) -> int:
-    pivots: dict[int, dict[int, object]] = {}
-    rank = 0
+    """Rank over Q of sparse integer rows {column -> int}, by fraction-free
+    elimination over Z (after Bareiss 1968, with gcd content removal in
+    place of exact division): each row is reduced by the stored primitive
+    pivot rows, leading column first, with r <- (p_c/g) r - (r_c/g) p for
+    g = gcd(r_c, p_c), and its content is divided out after each step so the
+    entries stay small.  Zero entries are ignored; the input rows are not
+    changed."""
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = dict(row)
+        r = {c: v for c, v in row.items() if v}
         while r:
             c = min(r)
-            if c in pivots:
-                f = r.pop(c)
-                for cc, vv in pivots[c].items():
-                    nv = r.get(cc, ZERO) - f * vv
-                    if nv:
-                        r[cc] = nv
-                    else:
-                        r.pop(cc, None)
-            else:
-                inv = ONE / r[c]
-                pivots[c] = {cc: vv * inv for cc, vv in r.items() if cc != c}
-                rank += 1
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = _primitive(r)
                 break
-    return rank
+            g = math.gcd(r[c], piv[c])
+            s, t = piv[c] // g, r[c] // g
+            if s != 1:
+                r = {cc: s * v for cc, v in r.items()}
+            for cc, v in piv.items():
+                nv = r.get(cc, 0) - t * v
+                if nv:
+                    r[cc] = nv
+                else:
+                    del r[cc]
+            r = _primitive(r)
+    return len(pivots)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .algebra import Algebra, LieAlgebra, basis_vec
 from .intervals import Interval, certify_less, exp_interval, pi_interval, sqrt_interval
 
 MAX_PARTITION_ARG = 200
+MAX_ASYMPTOTIC_ARG = 120
 
 
 class RepresentationError(ValueError):
@@ -377,8 +378,8 @@ def _exp_rate_sqrt_n(n: int, bits: int) -> Interval:
 
 def asymptotic_bounds_check(n_lo: int, n_hi: int) -> AsymptoticReport:
     """Certify the four asymptotic bound families over n_lo..n_hi <= 120."""
-    if not 1 <= n_lo <= n_hi <= 120:
-        raise ValueError("range must sit inside 1..120")
+    if not 1 <= n_lo <= n_hi <= MAX_ASYMPTOTIC_ARG:
+        raise ValueError(f"range must sit inside 1..{MAX_ASYMPTOTIC_ARG}")
     uniform = True
     diagonal = True
     near_diag = True

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lsakit
 from lsakit.serialize import (
     AlgebraDocument,
     DocumentError,
@@ -16,10 +19,15 @@ from lsakit.simplicity import catalog_documents
 
 
 def run_cli(*args, **kwargs):
+    # the child imports the lsakit under test, installed or not
+    src = str(Path(lsakit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
         [sys.executable, "-m", "lsakit.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kwargs,
     )
 
@@ -246,6 +254,38 @@ def test_bad_global_flag_exit_two(flags, a2_file):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert flags[0] in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mu", "--pair", "300", "2"),
+        ("mu", "--pair", "3", "5"),
+        ("mu", "--pair", "4", "0"),
+        ("mu", "--table", "500"),
+        ("mu", "--table", "-1"),
+        ("mu", "--sweep", "100000"),
+        ("mu", "--sweep", "0"),
+        ("trees", "--count", "0"),
+        ("trees", "--count", "-3"),
+        ("trees", "--enumerate", "0"),
+        ("trees", "--enumerate", "9"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_subcommand_integer_exit_two(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert argv[1] in proc.stderr
+
+
+def test_subcommand_integers_accept_their_bounds():
+    assert run_cli("mu", "--pair", "200", "200").returncode == 0
+    assert run_cli("--json", "mu", "--table", "0").returncode == 0
+    assert run_cli("--json", "trees", "--enumerate", "8").returncode == 0
+    proc = run_cli("trees", "--count", "1")
+    assert (proc.returncode, proc.stdout.strip()) == (0, "1")
 
 
 def test_global_flags_accept_their_bounds(a2_file):

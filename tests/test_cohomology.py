@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsakit.algebra import Algebra
 from lsakit.cohomology import (
@@ -16,10 +17,93 @@ from lsakit.cohomology import (
     hochschild_d,
     lsa_coboundary,
     lsa_cohomology,
+    sparse_rank,
     _coboundary_rows,
 )
-from lsakit.scalars import QQ
+from lsakit.linalg import Matrix, solve
+from lsakit.scalars import QQ, ZERO
 from lsakit.simplicity import a_one, catalog_lsas
+
+
+def dense_coboundary(A, f):
+    """Independent oracle for lsa_coboundary: the four sums of the
+    cohomology module docstring, evaluated directly on the cochain tensor in
+    Fraction arithmetic."""
+    p = f.degree
+    n = A.dim
+    prod = [[A.prod_basis_vec(i + 1, j + 1) for j in range(n)] for i in range(n)]
+    brk = [
+        [
+            tuple(a - b for a, b in zip(prod[i][j], prod[j][i]))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    out = []
+    for args in itertools.product(range(n), repeat=p + 1):
+        val = [ZERO] * n
+        for i in range(1, p + 1):
+            sign = 1 if i % 2 else -1
+            xi = args[i - 1]
+            # x_i . f(..x_i dropped.., x_{p+1})
+            fv = f.value(args[: i - 1] + args[i:])
+            for k in range(n):
+                if fv[k]:
+                    row = prod[xi][k]
+                    c = fv[k] if sign > 0 else -fv[k]
+                    for m in range(n):
+                        if row[m]:
+                            val[m] += c * row[m]
+            # f(..x_i dropped.., x_i) . x_{p+1}
+            fv = f.value(args[: i - 1] + args[i : p] + (xi,))
+            last = args[p]
+            for k in range(n):
+                if fv[k]:
+                    row = prod[k][last]
+                    c = fv[k] if sign > 0 else -fv[k]
+                    for m in range(n):
+                        if row[m]:
+                            val[m] += c * row[m]
+            # - f(..x_i dropped.., x_i . x_{p+1})
+            head = args[: i - 1] + args[i : p]
+            pv = prod[xi][args[p]]
+            for k in range(n):
+                if pv[k]:
+                    fv = f.value(head + (k,))
+                    c = pv[k] if sign > 0 else -pv[k]
+                    for m in range(n):
+                        if fv[m]:
+                            val[m] -= c * fv[m]
+        for i in range(1, p + 1):
+            for j in range(i + 1, p + 1):
+                sign = 1 if (i + j) % 2 == 0 else -1
+                bv = brk[args[i - 1]][args[j - 1]]
+                rest = tuple(
+                    a for t, a in enumerate(args) if t not in (i - 1, j - 1)
+                )
+                for k in range(n):
+                    if bv[k]:
+                        fv = f.value((k,) + rest)
+                        c = bv[k] if sign > 0 else -bv[k]
+                        for m in range(n):
+                            if fv[m]:
+                                val[m] += c * fv[m]
+        out.extend(val)
+    return Cochain(n, p + 1, tuple(out))
+
+
+def change_of_basis(A, P):
+    """The isomorphic copy of A in the basis f_j = P e_j (the columns of P):
+    f_i . f_j = P^-1 (P e_i . P e_j)."""
+    n = A.dim
+    M = Matrix(P)
+    cols = [[QQ(P[r][c]) for r in range(n)] for c in range(n)]
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            coords = solve(M, A.multiply(cols[i], cols[j]))
+            table[(i + 1, j + 1)] = {k + 1: c for k, c in enumerate(coords) if c}
+    return Algebra(f"{A.name}@P", n, table)
 
 
 def mat2_units():
@@ -67,23 +151,83 @@ def test_degree_cap():
 
 
 def test_matrix_path_agrees_with_dense_path(dim2_simple, rad_not_right_ideal):
-    # The sparse coboundary-matrix builder must give the same ranks as
-    # applying the dense coboundary to every basis cochain.
-    from lsakit.cohomology import sparse_rank
-    from lsakit.linalg import Matrix
-
+    # The rank of the integer coboundary matrix must equal the rank of the
+    # dense oracle applied to every basis cochain.
     for A in (dim2_simple, rad_not_right_ideal):
         n = A.dim
         for p in (1, 2):
-            rows_all, _ = _coboundary_rows(A, p)
-            rank_sparse = sparse_rank(rows_all)
+            rows, _ = _coboundary_rows(A, p)
+            rank_sparse = sparse_rank(list(rows.values()))
             cols = []
             for idx in range(n**p * n):
                 t = [QQ(0)] * (n**p * n)
                 t[idx] = QQ(1)
-                cols.append(list(lsa_coboundary(A, Cochain(n, p, tuple(t))).tensor))
+                cols.append(list(dense_coboundary(A, Cochain(n, p, tuple(t))).tensor))
             rank_dense = Matrix.from_columns(cols).rank()
             assert rank_sparse == rank_dense
+
+
+def test_coboundary_matches_dense_oracle_on_catalog():
+    rng = random.Random(0xD1FF)
+    for name, A in catalog_lsas().items():
+        for p in (1, 2):
+            for _ in range(2):
+                f = Cochain.random(A.dim, p, rng).scale(QQ(1, rng.randint(1, 5)))
+                assert lsa_coboundary(A, f) == dense_coboundary(A, f), (name, p)
+
+
+# Dense basis changes whose copies have denominators: |det P| = 3 and 4.
+# (Every +-1 change of dim2-simple has an integer table.)
+BASIS_CHANGES = {
+    2: [[2, 1], [1, -1]],
+    3: [[1, 1, 1], [1, -1, 1], [1, 1, -1]],
+}
+
+
+@pytest.mark.parametrize("source", ["A_2", "dim2-simple"])
+def test_dense_rational_basis_change_keeps_cohomology(source):
+    A = catalog_lsas()[source]
+    B = change_of_basis(A, BASIS_CHANGES[A.dim])
+    assert B.is_left_symmetric()
+    assert len(B.table) == A.dim**2  # every product is nonzero
+    assert _coboundary_rows(B, 1)[1] > 1  # the rows were scaled
+    for p in (1, 2):
+        assert lsa_cohomology(B, p) == lsa_cohomology(A, p), p
+    rng = random.Random(7)
+    f = Cochain.random(B.dim, 1, rng)
+    assert lsa_coboundary(B, f) == dense_coboundary(B, f)
+
+
+_entries = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80)).filter(bool)
+_sparse_rows = st.lists(st.dictionaries(st.integers(0, 6), _entries, max_size=7), max_size=7)
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """Sparse integer rows with repeated, dependent and empty rows mixed in."""
+    rows = draw(_sparse_rows)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["repeat", "combine", "empty"]))
+        if kind == "empty" or not rows:
+            new = {}
+        elif kind == "repeat":
+            new = dict(draw(st.sampled_from(rows)))
+        else:
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(_entries), draw(_entries)
+            new = {c: a * r1.get(c, 0) + b * r2.get(c, 0) for c in set(r1) | set(r2)}
+            new = {c: v for c, v in new.items() if v}
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@given(sparse_integer_rows())
+@settings(max_examples=200, deadline=None)
+def test_sparse_rank_matches_dense_rref(rows):
+    before = [dict(r) for r in rows]
+    dense = Matrix([[r.get(c, 0) for c in range(7)] for r in rows], cols=7)
+    assert sparse_rank(rows) == dense.rank()
+    assert rows == before
 
 
 def test_dim_z1_equals_derivations_everywhere():
