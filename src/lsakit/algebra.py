@@ -214,6 +214,44 @@ class Algebra(_Frozen):
         n = self.dim
         return tuple(self.right_matrix(basis_vec(n, i)) for i in range(1, n + 1))
 
+    @memoized
+    def side_ops(self, side: str) -> tuple[Matrix, ...]:
+        """The nonzero basis multiplications whose invariant subspaces are the
+        ideals of the given side: the L(e_i) for "left", the R(e_i) for
+        "right", and both for "two_sided", in the order L(e_1), R(e_1),
+        L(e_2), ..."""
+        if side == "left":
+            ops = self.left_ops()
+        elif side == "right":
+            ops = self.right_ops()
+        elif side == "two_sided":
+            ops = tuple(M for LR in zip(self.left_ops(), self.right_ops()) for M in LR)
+        else:
+            raise ValueError(f"side must be 'left', 'right' or 'two_sided', not {side!r}")
+        return tuple(M for M in ops if not M.is_zero())
+
+    def product_span(self, U: Subspace, V: Subspace) -> Subspace:
+        """span{u . v : u in U, v in V}."""
+        vecs = [self.multiply(u, v) for u in U.basis.data for v in V.basis.data]
+        return Subspace.from_vectors(self.dim, [w for w in vecs if any(w)])
+
+    def power_series(self, I: Subspace, left: Subspace | None = None) -> list[Subspace]:
+        """I, I^2, I^3, ... with I^(k+1) = I^(k) . I^(k) (the derived series),
+        or I^(k+1) = left . I^(k) when ``left`` is given (for left = I, the
+        left powers).  Ends at the zero subspace or at the first repeated
+        term, after at most dim + 1 products, since a series that is not
+        decreasing need not repeat."""
+        series = [I]
+        for _ in range(self.dim + 1):
+            current = series[-1]
+            if current.dim == 0:
+                break
+            nxt = self.product_span(current if left is None else left, current)
+            if nxt == current:
+                break
+            series.append(nxt)
+        return series
+
     # -- identities --------------------------------------------------------
 
     def opposite(self) -> "Algebra":
@@ -332,10 +370,7 @@ class Algebra(_Frozen):
     # -- subquotients --------------------------------------------------------
 
     def is_subalgebra(self, space: Subspace) -> bool:
-        vecs = space.basis_vectors()
-        return all(
-            space.contains_vector(self.multiply(u, v)) for u in vecs for v in vecs
-        )
+        return space.contains(self.product_span(space, space))
 
     def restrict(self, space: Subspace, name: str | None = None) -> "Algebra":
         """The algebra induced on a multiplicatively closed subspace, in the
@@ -365,22 +400,12 @@ class Algebra(_Frozen):
         lift mapping Q vectors back to canonical ambient representatives.
         """
         n = self.dim
-        pivots = ideal._pivots() if ideal.dim else []
-        free = [c for c in range(n) if c not in pivots]
+        free = [c for c in range(n) if c not in ideal.pivots]
         if not free:
             raise ValueError("quotient by the full space is empty")
 
-        def reduce_mod(v: Sequence) -> Vec:
-            w = list(v)
-            for r, p in enumerate(pivots):
-                if w[p]:
-                    f = w[p]
-                    row = ideal.basis.data[r]
-                    w = [x - f * y for x, y in zip(w, row)]
-            return tuple(w)
-
         def project(v: Sequence) -> Vec:
-            w = reduce_mod(v)
+            w = ideal.reduce(v)
             return tuple(w[c] for c in free)
 
         def lift(q: Sequence) -> Vec:
@@ -444,20 +469,7 @@ class LieAlgebra(_Frozen):
         return vec_scale(-1, self.brackets.get((j, i), zero_vec(self.dim)))
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                b = self.bracket_basis(i + 1, j + 1)
-                f = x[i] * y[j]
-                for k in range(n):
-                    if b[k]:
-                        out[k] += f * b[k]
-        return tuple(out)
+        return self.as_algebra().multiply(x, y)
 
     def _check_jacobi(self):
         n = self.dim
@@ -478,8 +490,10 @@ class LieAlgebra(_Frozen):
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
+    @memoized
     def as_algebra(self) -> Algebra:
-        """The bracket viewed as a bilinear product (for span machinery)."""
+        """The bracket viewed as a bilinear product, built once; ``bracket``
+        and the series below read from it."""
         table: dict = {}
         for (i, j), b in self.brackets.items():
             entry = {k + 1: c for k, c in enumerate(b) if c != 0}
@@ -487,47 +501,17 @@ class LieAlgebra(_Frozen):
             table[(j, i)] = {k: -c for k, c in entry.items()}
         return Algebra(f"{self.name}#prod", self.dim, table)
 
-    def _bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        vecs = []
-        for u in a.basis_vectors():
-            for v in b.basis_vectors():
-                w = self.bracket(u, v)
-                if not is_zero_vec(w):
-                    vecs.append(w)
-        return Subspace.from_vectors(self.dim, vecs)
-
     def lower_central_series(self) -> list[Subspace]:
         full = Subspace.full(self.dim)
-        series = [full]
-        while True:
-            nxt = self._bracket_span(full, series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        return self.as_algebra().power_series(full, left=full)
 
     def derived_series(self) -> list[Subspace]:
-        series = [Subspace.full(self.dim)]
-        while True:
-            nxt = self._bracket_span(series[-1], series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        return self.as_algebra().power_series(Subspace.full(self.dim))
 
     def center(self) -> Subspace:
-        n = self.dim
-        rows = []
-        for j in range(1, n + 1):
-            mat = Matrix.from_columns(
-                [self.bracket_basis(i, j) for i in range(1, n + 1)]
-            )
-            rows.extend(mat.data)
-        return Matrix(rows).kernel() if rows else Subspace.full(n)
+        """The common kernel of the ad(e_j) = R(e_j) of the bracket product."""
+        rows = [row for R in self.as_algebra().right_ops() for row in R.data]
+        return Matrix(rows).kernel()
 
     @memoized
     def properties(self) -> LieProperties:

@@ -33,7 +33,14 @@ from .simplicity import (
     structural_fingerprint,
 )
 from .serialize import DocumentError, document_to_algebra, format_document, parse_document
-from .trees import MAX_ENUM_ORDER, enumerate_trees, graft_product, parse_tree, rooted_tree_count
+from .trees import (
+    MAX_COUNT_ORDER,
+    MAX_ENUM_ORDER,
+    enumerate_trees,
+    graft_product,
+    parse_tree,
+    rooted_tree_count,
+)
 from .words import format_word_sum, insert_product, parse_word
 from .witt import check_novikov_truncated, monomial_generators, witt_associator, TruncationError
 from .repdim import (
@@ -353,6 +360,8 @@ def cmd_words(args) -> int:
 
 def cmd_witt(args) -> int:
     nvars, cap = args.props
+    if nvars < 1:
+        raise argparse.ArgumentTypeError(f"--props needs NVARS >= 1, got {nvars}")
     gens = monomial_generators(nvars, min(cap, 3), cap)
     degs = [max(p.degree() for p in f.comps if not p.is_zero()) for f in gens]
     checked = 0
@@ -455,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("trees", help="rooted tree enumeration and grafting")
-    p.add_argument("--count", type=_int_in(1), metavar="ORDER")
+    p.add_argument("--count", type=_int_in(1, MAX_COUNT_ORDER), metavar="ORDER")
     p.add_argument("--enumerate", type=_int_in(1, MAX_ENUM_ORDER), metavar="ORDER")
     p.add_argument("--graft", nargs=2, metavar=("T1", "T2"))
     p.set_defaults(func=cmd_trees)
@@ -466,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("witt", help="vector-field property suite at (nvars, cap)")
-    p.add_argument("--props", nargs=2, type=int, required=True, metavar=("NVARS", "CAP"))
+    p.add_argument("--props", nargs=2, type=_int_in(0), required=True, metavar=("NVARS", "CAP"),
+                   help="NVARS >= 1, CAP >= 0")
     p.set_defaults(func=cmd_witt)
 
     p = sub.add_parser("catalog", help="list or print shipped algebras")

@@ -97,12 +97,13 @@ class Matrix:
     def matvec(self, v: Sequence) -> tuple:
         if self.cols != len(v):
             raise ValueError("dimension mismatch in matvec")
+        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for row in self.data:
             s = ZERO
-            for a, x in zip(row, v):
-                if a and x:
-                    s += a * x
+            for j, x in support:
+                if row[j]:
+                    s += row[j] * x
             out.append(s)
         return tuple(out)
 
@@ -222,13 +223,21 @@ class Matrix:
 
 
 class Subspace:
-    """Subspace of K^n in canonical form: RREF basis with no zero rows."""
+    """Subspace of K^n in canonical form: RREF basis with no zero rows.
 
-    __slots__ = ("ambient_dim", "basis")
+    ``pivots`` holds the pivot column of each basis row, found once here;
+    every reduction against the basis reads it, with the rows kept as their
+    nonzero (column, entry) pairs."""
+
+    __slots__ = ("ambient_dim", "basis", "pivots", "_support")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._support = tuple(
+            tuple((j, x) for j, x in enumerate(row) if x) for row in basis.data
+        )
+        self.pivots = tuple(row[0][0] for row in self._support)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -266,25 +275,44 @@ class Subspace:
     def basis_vectors(self) -> list[tuple]:
         return [tuple(row) for row in self.basis.data]
 
+    def reduce(self, v: Sequence) -> tuple:
+        """The canonical representative of the coset v + self: v minus the
+        combination of basis rows that clears every pivot coordinate.  It is
+        zero exactly when v lies in self."""
+        w = list(v)
+        for p, row in zip(self.pivots, self._support):
+            f = w[p]
+            if f:
+                for j, y in row:
+                    w[j] -= f * y
+        return tuple(w)
+
     def contains_vector(self, v: Sequence) -> bool:
         """Membership by reduction against the RREF basis."""
-        w = [QQ(x) for x in v]
-        pivots = self._pivots()
-        for r, p in enumerate(pivots):
-            if w[p]:
-                f = w[p]
-                row = self.basis.data[r]
-                w = [x - f * y for x, y in zip(w, row)]
-        return all(x == 0 for x in w)
+        return not any(self.reduce(v))
 
-    def _pivots(self) -> list[int]:
-        pivots = []
-        for row in self.basis.data:
-            for j, x in enumerate(row):
-                if x:
-                    pivots.append(j)
-                    break
-        return pivots
+    def is_invariant(self, ops: Sequence[Matrix]) -> bool:
+        """Whether every operator in ops maps self into itself."""
+        for v in self.basis.data:
+            for op in ops:
+                w = op.matvec(v)
+                if any(w) and not self.contains_vector(w):
+                    return False
+        return True
+
+    def spin(self, ops: Sequence[Matrix]) -> "Subspace":
+        """The smallest subspace that contains self and is invariant under
+        every operator in ops.  Each pass maps only a basis of what the pass
+        before added modulo the span, skipping zero images; it ends when no
+        image leaves the span."""
+        current = frontier = self
+        while True:
+            images = (op.matvec(v) for v in frontier.basis.data for op in ops)
+            residues = [r for r in map(current.reduce, filter(any, images)) if any(r)]
+            if not residues:
+                return current
+            frontier = Subspace.from_vectors(self.ambient_dim, residues)
+            current = current.sum(frontier)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)

@@ -61,8 +61,10 @@ class NotLeftSymmetricError(ValueError):
 
 
 class InternalInconsistencyError(RuntimeError):
-    """Completeness witnesses disagree -- this would falsify the equivalence
-    of the completeness conditions and must never be swallowed."""
+    """Two exact computations disagree, or a certificate fails its check --
+    for example completeness witnesses that would falsify the equivalence of
+    the completeness conditions.  It signals a bug, never bad input, and
+    must never be swallowed (the CLI exits 3)."""
 
 
 def _require_lsa(A: Algebra):
@@ -127,51 +129,33 @@ def is_complete(A: Algebra, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_
     return CompletenessReport(complete, traces, nilpotent, invertible)
 
 
-def _constrained_descent(A: Algebra, W: Subspace, sides: str) -> Subspace:
-    """Largest subspace I of W with L(e_i) I <= I (sides 'l'), R(e_i) I <= I
-    ('r'), or both ('lr'); exact descending fixed point, <= dim A steps."""
-    n = A.dim
-    ops = (A.left_ops() if "l" in sides else ()) + (A.right_ops() if "r" in sides else ())
+def _constrained_descent(A: Algebra, W: Subspace, side: str) -> Subspace:
+    """Largest subspace of W invariant under ``A.side_ops(side)``: the
+    exact descending fixed point I -> {x in I : M x in I for every M},
+    at most dim A steps."""
+    ops = A.side_ops(side)
     current = W
-    while True:
-        if current.dim == 0:
-            return current
-        eqs = list(current.equations().data)
-        rows = list(eqs)
-        for op in ops:
-            for eq in eqs:
-                # constraint: eq . (op x) = 0  <=>  (eq^T op) x = 0
-                rows.append(
-                    tuple(
-                        sum((eq[r] * op.data[r][c] for r in range(n)), ZERO)
-                        for c in range(n)
-                    )
-                )
-        nxt = Matrix(rows, cols=n).kernel()
+    while current.dim:
+        eqs = current.equations()
+        # x in the next term  <=>  E x = 0 and (E M) x = 0 for every M
+        rows = [row for M in ops for row in (eqs * M).data]
+        nxt = Matrix(list(eqs.data) + rows, cols=A.dim).kernel()
         if nxt == current:
-            return current
+            break
         current = nxt
+    return current
 
 
 def largest_left_ideal_in(A: Algebra, W: Subspace) -> Subspace:
-    return _constrained_descent(A, W, "l")
+    return _constrained_descent(A, W, "left")
 
 
 def largest_two_sided_ideal_in(A: Algebra, W: Subspace) -> Subspace:
-    return _constrained_descent(A, W, "lr")
+    return _constrained_descent(A, W, "two_sided")
 
 
 def is_ideal(A: Algebra, I: Subspace, side: str = "two_sided") -> bool:
-    n = A.dim
-    vecs = I.basis_vectors()
-    for i in range(1, n + 1):
-        e = basis_vec(n, i)
-        for v in vecs:
-            if side in ("left", "two_sided") and not I.contains_vector(A.multiply(e, v)):
-                return False
-            if side in ("right", "two_sided") and not I.contains_vector(A.multiply(v, e)):
-                return False
-    return True
+    return I.is_invariant(A.side_ops(side))
 
 
 @dataclass(frozen=True)
@@ -207,16 +191,6 @@ def trace_form_radical(A: Algebra) -> Subspace:
     return trace_form_gram(A).kernel()
 
 
-def _product_span(A: Algebra, U: Subspace, V: Subspace) -> Subspace:
-    vecs = []
-    for u in U.basis_vectors():
-        for v in V.basis_vectors():
-            w = A.multiply(u, v)
-            if not is_zero_vec(w):
-                vecs.append(w)
-    return Subspace.from_vectors(A.dim, vecs)
-
-
 def _require_two_sided(A: Algebra, I: Subspace):
     if not is_ideal(A, I, "two_sided"):
         raise ValueError("subspace is not a two-sided ideal")
@@ -231,13 +205,7 @@ def is_solvable_ideal(A: Algebra, I: Subspace) -> bool:
 
 def _derived_series_vanishes(A: Algebra, I: Subspace) -> bool:
     """is_solvable_ideal for an I already known to be a two-sided ideal."""
-    current = I
-    while current.dim > 0:
-        nxt = _product_span(A, current, current)
-        if nxt == current:
-            return False
-        current = nxt
-    return True
+    return A.power_series(I)[-1].dim == 0
 
 
 def is_left_nilpotent_ideal(A: Algebra, I: Subspace) -> bool:
@@ -248,49 +216,20 @@ def is_left_nilpotent_ideal(A: Algebra, I: Subspace) -> bool:
 
 def _left_powers_vanish(A: Algebra, I: Subspace) -> bool:
     """is_left_nilpotent_ideal for an I already known to be a two-sided ideal."""
-    current = I
-    for _ in range(A.dim + 1):
-        if current.dim == 0:
-            return True
-        nxt = _product_span(A, I, current)
-        if nxt == current:
-            return False
-        current = nxt
-    return current.dim == 0
+    return A.power_series(I, left=I)[-1].dim == 0
 
 
 def ideal_generated(A: Algebra, seed_vectors, side: str = "two_sided") -> Subspace:
-    """Smallest ideal of the requested sidedness containing the input,
-    by spinning under the basis multiplication operators.  The loop stops
-    only after a pass in which every product e_i . v and v . e_i of the
-    requested sides lies in the span, so the answer is an ideal by
-    construction."""
-    n = A.dim
+    """Smallest ideal of the requested sidedness containing the input: the
+    span of the input spun under ``A.side_ops(side)``, which is an ideal of
+    that side by construction (see ``Subspace.spin``)."""
     if isinstance(seed_vectors, Subspace):
         vecs = seed_vectors.basis_vectors()
     elif seed_vectors and not isinstance(seed_vectors[0], (tuple, list)):
         vecs = [tuple(seed_vectors)]
     else:
         vecs = [tuple(v) for v in seed_vectors]
-    current = Subspace.from_vectors(n, vecs)
-    while True:
-        new_vecs = list(current.basis.data)
-        grew = False
-        for i in range(1, n + 1):
-            e = basis_vec(n, i)
-            for v in current.basis_vectors():
-                prods = []
-                if side in ("left", "two_sided"):
-                    prods.append(A.multiply(e, v))
-                if side in ("right", "two_sided"):
-                    prods.append(A.multiply(v, e))
-                for p in prods:
-                    if not is_zero_vec(p) and not current.contains_vector(p):
-                        new_vecs.append(p)
-                        grew = True
-        if not grew:
-            return current
-        current = Subspace.from_vectors(n, new_vecs)
+    return Subspace.from_vectors(A.dim, vecs).spin(A.side_ops(side))
 
 
 def _probe_vectors(n: int, rng: random.Random, samples: int) -> list[Vec]:

@@ -24,6 +24,7 @@ from typing import Sequence
 from .scalars import QQ, ZERO, ONE
 from .linalg import Matrix, Subspace, solve
 from .algebra import Algebra, LieAlgebra, basis_vec
+from .radicals import InternalInconsistencyError
 from .intervals import Interval, certify_less, exp_interval, pi_interval, sqrt_interval
 
 MAX_PARTITION_ARG = 200
@@ -315,7 +316,7 @@ def mu_bound_report(n: int, k: int) -> MuBounds:
     binom = b_nk(n, k)
     part = p_nk(n, k)
     if not part <= binom <= reed:
-        raise AssertionError(
+        raise InternalInconsistencyError(
             f"bound ordering violated at (n,k)=({n},{k}): {part}, {binom}, {reed}"
         )
     return MuBounds(n, k, reed, binom, part)
@@ -474,13 +475,13 @@ def _check_commutative_witness(basis: list[Matrix], d: int, needed_dim: int):
     """The sharp witness has dimension floor(d^2/4) + 1, must cover the
     requested dimension, and must actually commute."""
     if len(basis) != d * d // 4 + 1:
-        raise AssertionError("witness dimension mismatch")
+        raise InternalInconsistencyError("witness dimension mismatch")
     if len(basis) < needed_dim:
-        raise AssertionError("witness too small for the requested dimension")
+        raise InternalInconsistencyError("witness too small for the requested dimension")
     flat = [tuple(x for row in M.data for x in row) for M in basis]
     if Subspace.from_vectors(d * d, flat).dim != len(basis):
-        raise AssertionError("witness basis is linearly dependent")
+        raise InternalInconsistencyError("witness basis is linearly dependent")
     for i, M in enumerate(basis):
         for N in basis[i + 1 :]:
             if M * N != N * M:
-                raise AssertionError("witness basis is not commutative")
+                raise InternalInconsistencyError("witness basis is not commutative")

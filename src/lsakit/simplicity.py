@@ -20,7 +20,7 @@ from importlib import resources
 
 from .scalars import QQ, ONE
 from .linalg import Matrix, Subspace
-from .algebra import Algebra, LieAlgebra, basis_vec, is_zero_vec, memoized
+from .algebra import Algebra, LieAlgebra, basis_vec, memoized
 from .polys import Poly, UnsupportedDegreeError, factor_small
 from .radicals import (
     DEFAULT_SAMPLES,
@@ -62,7 +62,7 @@ def multiplication_algebra(A: Algebra) -> list[Matrix]:
     """Basis of the associative algebra generated by Id and all L(e_i),
     R(e_i), closed under products; dimension stabilizes the closure."""
     n = A.dim
-    gens = [Matrix.identity(n)] + _basis_ops(A)
+    gens = [Matrix.identity(n), *A.side_ops("two_sided")]
 
     def flatten(M: Matrix):
         return [x for row in M.data for x in row]
@@ -82,16 +82,6 @@ def multiplication_algebra(A: Algebra) -> list[Matrix]:
     return basis
 
 
-def _basis_ops(A: Algebra) -> list[Matrix]:
-    """The nonzero L(e_i), R(e_i), in the order L(e_1), R(e_1), L(e_2), ..."""
-    return [
-        M
-        for LR in zip(A.left_ops(), A.right_ops())
-        for M in LR
-        if not M.is_zero()
-    ]
-
-
 def _verified_ideal(A: Algebra, I: Subspace) -> Subspace:
     """I itself, after checking that it is a two-sided ideal: a NotSimple
     witness is verified, also under ``python -O``."""
@@ -100,20 +90,6 @@ def _verified_ideal(A: Algebra, I: Subspace) -> Subspace:
             "is_simple produced a NotSimple witness that is not a two-sided ideal"
         )
     return I
-
-
-def _spin(vectors, gens: list[Matrix], n: int) -> Subspace:
-    current = Subspace.from_vectors(n, vectors)
-    while True:
-        grew = False
-        for g in gens:
-            for v in current.basis_vectors():
-                w = g.matvec(v)
-                if not is_zero_vec(w) and not current.contains_vector(w):
-                    current = current.sum(Subspace.from_vectors(n, [w]))
-                    grew = True
-        if not grew:
-            return current
 
 
 def _poly_at_matrix(p: Poly, M: Matrix) -> Matrix:
@@ -148,7 +124,7 @@ def is_simple(A: Algebra, seed: int = DEFAULT_SEED, budget: int = MEATAXE_BUDGET
             return SimplicityVerdict(Verdict.NOT_SIMPLE, _verified_ideal(A, I), None)
 
     # Phase 2: meataxe over the multiplication algebra.
-    gens = _basis_ops(A)
+    gens = A.side_ops("two_sided")
     gens_t = [g.transpose() for g in gens]
     rng = random.Random(seed)
 
@@ -184,7 +160,7 @@ def is_simple(A: Algebra, seed: int = DEFAULT_SEED, budget: int = MEATAXE_BUDGET
                 continue
             proper = None
             for v in N.basis_vectors():
-                W = _spin([v], gens, n)
+                W = Subspace.from_vectors(n, [v]).spin(gens)
                 if W.dim < n:
                     proper = W
                     break
@@ -194,7 +170,7 @@ def is_simple(A: Algebra, seed: int = DEFAULT_SEED, budget: int = MEATAXE_BUDGET
                 # minimal nullity: one spin on each side decides
                 Nt = _poly_at_matrix(f, z.transpose()).kernel()
                 wt = Nt.basis_vectors()[0]
-                Wt = _spin([wt], gens_t, n)
+                Wt = Subspace.from_vectors(n, [wt]).spin(gens_t)
                 if Wt.dim == n:
                     certificate = {
                         "element": label,

@@ -16,6 +16,8 @@ from typing import Iterable, Mapping
 from .scalars import QQ, ZERO, rat_str
 
 MAX_ENUM_ORDER = 8
+# Largest order `lsakit trees --count` accepts; the count is quadratic in it.
+MAX_COUNT_ORDER = 1000
 
 
 class RootedTree:
@@ -222,16 +224,18 @@ def _enumerate(order: int) -> list[RootedTree]:
     return sorted(out, key=RootedTree.sort_key)
 
 
-@lru_cache(maxsize=None)
 def rooted_tree_count(order: int) -> int:
     """Number of unlabelled rooted trees, by the classical convolution
-    recurrence (independent of the exhaustive generator)."""
+    recurrence (n-1) a(n) = sum_k s(k) a(n-k) with s(k) = sum_{d | k} d a(d)
+    (independent of the exhaustive generator).  Computed bottom-up over the
+    orders, with each a(d) added to the divisor sums of its multiples, so the
+    cost is quadratic and no order recurses."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order == 1:
-        return 1
-    total = 0
-    for k in range(1, order):
-        s = sum(d * rooted_tree_count(d) for d in range(1, k + 1) if k % d == 0)
-        total += s * rooted_tree_count(order - k)
-    return total // (order - 1)
+    a = [0] * (order + 1)
+    s = [0] * (order + 1)
+    for n in range(1, order + 1):
+        a[n] = 1 if n == 1 else sum(s[k] * a[n - k] for k in range(1, n)) // (n - 1)
+        for m in range(n, order + 1, n):
+            s[m] += n * a[n]
+    return a[order]

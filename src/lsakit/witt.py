@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .scalars import QQ, ZERO
+from .radicals import InternalInconsistencyError
 
 
 class TruncationError(ValueError):
@@ -251,7 +252,7 @@ def witt_associator(f: VecField, g: VecField, h: VecField) -> VecField:
                 closed = closed.add(VecField.make(n, cap, comps))
     closed = closed.require_exact()
     if expansion.comps != closed.comps:
-        raise AssertionError(
+        raise InternalInconsistencyError(
             "associator expansion disagrees with the closed form"
         )
     return expansion

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import lsakit
+from lsakit import cli, repdim
 from lsakit.serialize import (
     AlgebraDocument,
     DocumentError,
@@ -16,6 +17,7 @@ from lsakit.serialize import (
     parse_document,
 )
 from lsakit.simplicity import catalog_documents
+from lsakit.trees import MAX_COUNT_ORDER
 
 
 def run_cli(*args, **kwargs):
@@ -270,6 +272,10 @@ def test_bad_global_flag_exit_two(flags, a2_file):
         ("trees", "--count", "-3"),
         ("trees", "--enumerate", "0"),
         ("trees", "--enumerate", "9"),
+        ("trees", "--count", "1001"),
+        ("witt", "--props", "0", "3"),
+        ("witt", "--props", "-1", "3"),
+        ("witt", "--props", "1", "-2"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -286,6 +292,17 @@ def test_subcommand_integers_accept_their_bounds():
     assert run_cli("--json", "trees", "--enumerate", "8").returncode == 0
     proc = run_cli("trees", "--count", "1")
     assert (proc.returncode, proc.stdout.strip()) == (0, "1")
+    assert run_cli("trees", "--count", str(MAX_COUNT_ORDER)).returncode == 0
+    proc = run_cli("--json", "witt", "--props", "1", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cap"] == 0
+
+
+def test_internal_inconsistency_exits_three(monkeypatch, capsys):
+    # a partition bound above the binomial one would falsify a theorem
+    monkeypatch.setattr(repdim, "p_nk", lambda n, k: 10**9)
+    assert cli.main(["mu", "--pair", "6", "5"]) == 3
+    assert "bound ordering violated" in capsys.readouterr().err
 
 
 def test_global_flags_accept_their_bounds(a2_file):

@@ -216,3 +216,33 @@ def test_det_and_solve():
 
 def test_det_singular():
     assert Matrix([[1, 2], [2, 4]]).det() == 0
+
+
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=3),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_reduce_is_the_canonical_coset_representative(rows, v, coeffs):
+    S = Subspace.from_vectors(4, rows)
+    r = S.reduce(v)
+    assert all(r[p] == 0 for p in S.pivots)
+    assert S.contains_vector([a - b for a, b in zip(v, r)])
+    assert S.contains_vector(v) == (not any(r))
+    shifted = list(v)
+    for c, row in zip(coeffs, S.basis.data):
+        shifted = [a + c * b for a, b in zip(shifted, row)]
+    assert S.reduce(shifted) == r
+
+
+def test_spin_under_a_shift():
+    # N e_j = e_{j-1}: the invariant subspaces are the flags span{e_1..e_k}
+    N = Matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    e3 = Subspace.from_vectors(4, [[0, 0, 1, 0]])
+    flag3 = Subspace.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    assert e3.spin([N]) == flag3
+    assert e3.spin([]) == e3
+    assert Subspace.zero(4).spin([N]) == Subspace.zero(4)
+    assert flag3.is_invariant([N]) and not e3.is_invariant([N])
+    assert e3.spin([N, N.transpose()]) == Subspace.full(4)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lsakit.algebra import Algebra, basis_vec
@@ -10,6 +12,7 @@ from lsakit.radicals import (
     helmstetter_extension,
     ideal_generated,
     is_complete,
+    is_ideal,
     is_left_nilpotent_ideal,
     is_solvable_ideal,
     koszul_radical,
@@ -23,6 +26,9 @@ from lsakit.radicals import (
     trace_subspace,
 )
 from lsakit.scalars import QQ
+from lsakit.simplicity import catalog_lsas, multiplication_algebra
+
+CATALOG_LSAS = sorted(catalog_lsas().items())
 
 
 def span(n, *indices):
@@ -248,6 +254,43 @@ def test_ideal_generated_examples(rad_not_right_ideal):
     assert two == span(4, 2, 3, 4)
     zero = ideal_generated(A, [(QQ(0),) * 4], "two_sided")
     assert zero == Subspace.zero(4)
+
+
+@pytest.mark.parametrize("name,A", CATALOG_LSAS, ids=[name for name, _ in CATALOG_LSAS])
+def test_ideal_generated_matches_multiplication_algebra_orbit(name, A):
+    """Oracle: the two-sided ideal generated by e_j is span{M e_j} over the
+    multiplication algebra, which is closed under matrix products."""
+    n = A.dim
+    mult = multiplication_algebra(A)
+    for j in range(n):
+        orbit = Subspace.from_vectors(n, [[row[j] for row in M.data] for M in mult])
+        assert ideal_generated(A, basis_vec(n, j + 1), "two_sided") == orbit
+
+
+@pytest.mark.parametrize("name,A", CATALOG_LSAS, ids=[name for name, _ in CATALOG_LSAS])
+def test_is_ideal_iff_its_own_largest_ideal(name, A):
+    n = A.dim
+    rng = random.Random(n)
+    candidates = [trace_subspace(A), Subspace.zero(n), Subspace.full(n)]
+    for j in range(1, n + 1):
+        candidates.append(span(n, j))
+        candidates += [ideal_generated(A, basis_vec(n, j), side) for side in ("left", "right")]
+    candidates += [
+        Subspace.from_vectors(n, [[rng.randint(-1, 1) for _ in range(n)] for _ in range(2)])
+        for _ in range(4)
+    ]
+    for I in candidates:
+        assert is_ideal(A, I, "left") == (largest_left_ideal_in(A, I) == I)
+        assert is_ideal(A, I, "two_sided") == (largest_two_sided_ideal_in(A, I) == I)
+
+
+def test_bad_side_raises(rad_not_right_ideal):
+    A = rad_not_right_ideal
+    for bad in ("lr", "l", "both"):
+        with pytest.raises(ValueError):
+            ideal_generated(A, basis_vec(4, 1), bad)
+        with pytest.raises(ValueError):
+            is_ideal(A, span(4, 1), bad)
 
 
 def test_ideal_generated_incomplete_family_is_everything():

@@ -87,6 +87,10 @@ def test_enumeration_counts_match_recurrence():
         assert rooted_tree_count(order) == count
 
 
+def test_rooted_tree_count_order_twenty():
+    assert rooted_tree_count(20) == 12826228  # OEIS A000081
+
+
 def test_enumeration_bounds():
     with pytest.raises(ValueError):
         enumerate_trees(0)
