@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import QQ, ZERO, ONE
-from .linalg import Matrix, Subspace, solve
+from .linalg import Matrix, Subspace
 
 Vec = tuple
 
@@ -381,13 +381,12 @@ class Algebra(_Frozen):
         d = len(vecs)
         if d == 0:
             raise ValueError("cannot restrict to the zero subspace")
-        bmat = Matrix(vecs).transpose()
         table = {}
         for i, u in enumerate(vecs, start=1):
             for j, v in enumerate(vecs, start=1):
                 w = self.multiply(u, v)
-                coords = solve(bmat, w)
-                entry = {k + 1: c for k, c in enumerate(coords) if c != 0}
+                # coordinates in an RREF basis are the pivot entries
+                entry = {k + 1: w[p] for k, p in enumerate(space.pivots) if w[p] != 0}
                 if entry:
                     table[(i, j)] = entry
         return Algebra(name or f"{self.name}|sub", d, table)

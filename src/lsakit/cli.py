@@ -326,8 +326,7 @@ def cmd_trees(args) -> int:
         ts = enumerate_trees(args.enumerate)
         report["trees"] = [t.serial for t in ts]
     if args.graft:
-        t1, t2 = (parse_tree(s) for s in args.graft)
-        prod = graft_product(t1, t2)
+        prod = graft_product(*args.graft)
         report["graft"] = [
             {"tree": t.serial, "coefficient": rat_str(c)}
             for t, c in prod.sorted_terms()
@@ -339,7 +338,7 @@ def cmd_trees(args) -> int:
 
 
 def cmd_words(args) -> int:
-    x, y = (parse_word(w) for w in args.prod)
+    x, y = args.prod
     result = insert_product(x, y)
     if args.json:
         _emit(
@@ -360,8 +359,6 @@ def cmd_words(args) -> int:
 
 def cmd_witt(args) -> int:
     nvars, cap = args.props
-    if nvars < 1:
-        raise argparse.ArgumentTypeError(f"--props needs NVARS >= 1, got {nvars}")
     gens = monomial_generators(nvars, min(cap, 3), cap)
     degs = [max(p.degree() for p in f.comps if not p.is_zero()) for f in gens]
     checked = 0
@@ -425,6 +422,19 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+def _parsed_by(parse):
+    """An argparse type: parse(text), with the ValueError of a malformed text
+    turned into a usage error that keeps its message."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsakit",
@@ -466,17 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trees", help="rooted tree enumeration and grafting")
     p.add_argument("--count", type=_int_in(1, MAX_COUNT_ORDER), metavar="ORDER")
     p.add_argument("--enumerate", type=_int_in(1, MAX_ENUM_ORDER), metavar="ORDER")
-    p.add_argument("--graft", nargs=2, metavar=("T1", "T2"))
+    p.add_argument("--graft", nargs=2, type=_parsed_by(parse_tree), metavar=("T1", "T2"))
     p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("words", help="insertion product of two words over {A,B}")
-    p.add_argument("--prod", nargs=2, required=True, metavar=("X", "Y"))
+    p.add_argument("--prod", nargs=2, type=_parsed_by(parse_word), required=True,
+                   metavar=("X", "Y"))
     p.add_argument("--pretty", action="store_true", help="exponent formatting")
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("witt", help="vector-field property suite at (nvars, cap)")
-    p.add_argument("--props", nargs=2, type=_int_in(0), required=True, metavar=("NVARS", "CAP"),
-                   help="NVARS >= 1, CAP >= 0")
+    p.add_argument("--props", nargs=2, type=_int_in(1), required=True, metavar=("NVARS", "CAP"),
+                   help="NVARS >= 1, CAP >= 1")
     p.set_defaults(func=cmd_witt)
 
     p = sub.add_parser("catalog", help="list or print shipped algebras")

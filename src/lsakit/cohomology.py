@@ -20,8 +20,9 @@ associator; higher degrees are property-tested exhaustively at desk sizes).
 Each entry of the matrix of d_p is a signed sum of structure constants, so
 D d_p is an integer matrix for D the lcm of their denominators.  There is
 one coboundary operator: the sparse integer rows of D d_p.  Cohomology
-ranks come from fraction-free elimination of those rows over Z, and
-``lsa_coboundary`` applies the same rows to a cochain and divides by D.
+ranks come from fraction-free elimination of those rows over Z by
+``linalg.echelon``, and ``lsa_coboundary`` applies the same rows to a
+cochain and divides by D.
 
 The composition product (f o g) inserts g into each slot of f; its signed
 version with weight (-1)^((q-1)(i-1)) at slot i makes the cochain space a
@@ -38,7 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .scalars import QQ, ZERO
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, echelon
 from .algebra import Algebra, Vec, basis_vec, memoized
 
 MAX_LSA_DEGREE = 3
@@ -245,43 +246,10 @@ def _coboundary_rank(A: Algebra, p: int) -> int:
     return sparse_rank(list(rows.values()))
 
 
-def _primitive(row: dict) -> dict:
-    """row divided by the gcd of its entries (an empty row is returned as is)."""
-    g = math.gcd(*row.values())
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 def sparse_rank(rows) -> int:
-    """Rank over Q of sparse integer rows {column -> int}, by fraction-free
-    elimination over Z (after Bareiss 1968, with gcd content removal in
-    place of exact division): each row is reduced by the stored primitive
-    pivot rows, leading column first, with r <- (p_c/g) r - (r_c/g) p for
-    g = gcd(r_c, p_c), and its content is divided out after each step so the
-    entries stay small.  Zero entries are ignored; the input rows are not
-    changed."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = _primitive(r)
-                break
-            g = math.gcd(r[c], piv[c])
-            s, t = piv[c] // g, r[c] // g
-            if s != 1:
-                r = {cc: s * v for cc, v in r.items()}
-            for cc, v in piv.items():
-                nv = r.get(cc, 0) - t * v
-                if nv:
-                    r[cc] = nv
-                else:
-                    del r[cc]
-            r = _primitive(r)
-    return len(pivots)
+    """Rank over Q of sparse integer rows {column -> int}: the number of
+    pivots ``linalg.echelon`` finds.  The input rows are not changed."""
+    return len(echelon(rows))
 
 
 @dataclass(frozen=True)

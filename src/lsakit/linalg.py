@@ -1,25 +1,75 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are immutable once built; row reduction always picks the first
-nonzero entry in column order and swaps rows deterministically, so the RREF
-of a matrix -- and hence the basis matrix of a :class:`Subspace` -- is a
-canonical form.  Two subspaces are equal iff their basis matrices are
-identical.
+Matrices are immutable once built.  Every row reduction runs through one
+fraction-free integer engine, :func:`echelon`; the RREF of a matrix -- and
+hence the basis matrix of a :class:`Subspace` -- is a canonical form, so two
+subspaces are equal iff their basis matrices are identical.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .scalars import QQ, ZERO, ONE
 from .polys import Poly
 
 
+def echelon(rows: Iterable[dict]) -> dict[int, dict[int, int]]:
+    """An echelon basis over Z of the span of sparse integer rows
+    {column -> int}, as {pivot column -> primitive row}: the only row
+    elimination in lsakit.  Fraction-free (after Bareiss 1968, with gcd
+    content removal in place of exact division): each row is reduced by the
+    stored pivot rows, leading column first, until it is zero or leads in a
+    new column.  Zero entries are ignored; the input rows are not changed."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = _primitive(r)
+                break
+            r = _eliminate(r, piv, c)
+    return pivots
+
+
+def _eliminate(r: dict, piv: dict, c: int) -> dict:
+    """(p_c/g) r - (r_c/g) piv for g = gcd(r_c, p_c), divided by its
+    content: r with its column-c entry cleared.  r may be changed in place."""
+    g = math.gcd(r[c], piv[c])
+    s, t = piv[c] // g, r[c] // g
+    if s != 1:
+        r = {cc: s * v for cc, v in r.items()}
+    for cc, v in piv.items():
+        nv = r.get(cc, 0) - t * v
+        if nv:
+            r[cc] = nv
+        else:
+            del r[cc]
+    return _primitive(r)
+
+
+def _primitive(row: dict) -> dict:
+    """row divided by the gcd of its entries (an empty row is returned as is)."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+def _integer_row(row: Sequence) -> dict[int, int]:
+    """A rational row times the lcm of its denominators, as {column -> int}."""
+    d = math.lcm(*(x.denominator for x in row))
+    return {j: x.numerator * (d // x.denominator) for j, x in enumerate(row) if x}
+
+
 class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries: Iterable[Sequence], cols: int | None = None):
-        data = tuple(tuple(QQ(x) for x in row) for row in entries)
+        data = tuple(tuple(x if type(x) is QQ else QQ(x) for x in row) for row in entries)
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else (cols or 0)
@@ -124,35 +174,22 @@ class Matrix:
         return [list(row) for row in self.data]
 
     def rref(self) -> tuple["Matrix", tuple[int, ...], int]:
-        """Reduced row-echelon form; returns (reduced, pivot columns, rank)."""
-        m = self.row_list()
-        rows, cols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(cols):
-            pivot_row = None
-            for i in range(r, rows):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                inv = ONE / pv
-                m[r] = [x * inv for x in m[r]]
-            for i in range(rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    mr = m[r]
-                    m[i] = [x - f * y for x, y in zip(m[i], mr)]
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        return Matrix(m), tuple(pivots), r
+        """Reduced row-echelon form; returns (reduced, pivot columns, rank).
+        Each row is scaled by the lcm of its denominators, which keeps the
+        span; the integer rows go through ``echelon``, are back-substituted
+        with its elimination step and divided by their pivot entries."""
+        rows = echelon(map(_integer_row, self.data))
+        pivots = sorted(rows)
+        for k in reversed(range(len(pivots))):
+            c = pivots[k]
+            for above in pivots[:k]:
+                if c in rows[above]:
+                    rows[above] = _eliminate(rows[above], rows[c], c)
+        reduced = [[ZERO] * self.cols for _ in range(self.rows)]
+        for dense, c in zip(reduced, pivots):
+            for j, v in rows[c].items():
+                dense[j] = QQ(v, rows[c][c])
+        return Matrix(reduced, cols=self.cols), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -171,31 +208,9 @@ class Matrix:
         return Subspace.from_vectors(self.cols, basis)
 
     def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        m = self.row_list()
-        n = self.rows
-        sign = 1
-        det = ONE
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if m[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                sign = -sign
-            pv = m[c][c]
-            det *= pv
-            inv = ONE / pv
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det if sign == 1 else -det
+        """(-1)^n times the constant term of the characteristic polynomial."""
+        c0 = self.char_poly().coeffs[0]
+        return -c0 if self.rows % 2 else c0
 
     def char_poly(self) -> Poly:
         """Monic characteristic polynomial det(t*I - self), Faddeev-LeVerrier."""
@@ -241,10 +256,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        if not vecs:
-            return cls(ambient_dim, Matrix.zeros(0, ambient_dim))
-        reduced, _, rank = Matrix(vecs).rref()
+        reduced, _, rank = Matrix(vectors).rref()
         return cls(ambient_dim, Matrix(reduced.data[:rank], cols=ambient_dim))
 
     @classmethod

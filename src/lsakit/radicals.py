@@ -95,26 +95,32 @@ class CompletenessReport:
     id_plus_right_invertible: bool
 
 
+def _seeded_probes(n: int, seed: int, samples: int) -> list[Vec]:
+    """The basis, then ``samples`` vectors with entries in -3..3 from Random(seed)."""
+    rng = random.Random(seed)
+    return [basis_vec(n, i) for i in range(1, n + 1)] + [
+        vec([rng.randint(-3, 3) for _ in range(n)]) for _ in range(samples)
+    ]
+
+
 @memoized
 def is_complete(A: Algebra, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> CompletenessReport:
     """Complete iff tr R(x) = 0 for all x (linear, so basis traces decide).
 
-    Cross-checks: char_poly(R(e_i)) = t^n (right multiplications nilpotent)
-    and det(Id + R(x)) != 0 on the basis and seeded samples.  For a complete
-    algebra all three must agree; disagreement is an internal error.
+    Cross-checks: char_poly(R(e_i)) = t^n (right multiplications nilpotent,
+    read from the nil-set probe) and Id + R(x) nonsingular on the basis and
+    seeded samples.  For a complete algebra all three must agree;
+    disagreement is an internal error.
     """
     _require_lsa(A)
     n = A.dim
     traces = trace_vector(A)
     complete = is_zero_vec(traces)
-    t_n = Poly.x_power(n)
-    nilpotent = all(R.char_poly() == t_n for R in A.right_ops())
-    rng = random.Random(seed)
-    probes = [basis_vec(n, i) for i in range(1, n + 1)] + [
-        vec([rng.randint(-3, 3) for _ in range(n)]) for _ in range(samples)
-    ]
+    members = nil_set_probe(A, seed, samples).members
+    nilpotent = all(basis_vec(n, i) in members for i in range(1, n + 1))
     invertible = all(
-        (Matrix.identity(n) + A.right_matrix(x)).det() != 0 for x in probes
+        (Matrix.identity(n) + A.right_matrix(x)).rank() == n
+        for x in _seeded_probes(n, seed, samples)
     )
     if complete and not (nilpotent and invertible):
         raise InternalInconsistencyError(
@@ -338,15 +344,12 @@ def nil_set_probe(
     nilpotent (then S equals the radical); otherwise the span of confirmed
     members is reported as a probe, not as S."""
     n = A.dim
-    rng = random.Random(seed)
+    probes = _seeded_probes(n, seed, samples)
     t_n = Poly.x_power(n)
-    probes = [basis_vec(n, i) for i in range(1, n + 1)] + [
-        vec([rng.randint(-3, 3) for _ in range(n)]) for _ in range(samples)
-    ]
-    members = tuple(
-        p for p in probes if A.right_matrix(p).char_poly() == t_n
-    )
-    span = Subspace.from_vectors(n, list(members)) if members else Subspace.zero(n)
+    # a probe drawn twice is tested once
+    nilpotent = {p: A.right_matrix(p).char_poly() == t_n for p in set(probes)}
+    members = tuple(p for p in probes if nilpotent[p])
+    span = Subspace.from_vectors(n, members)
     exact = A.is_left_symmetric() and A.commutator_lie().properties().nilpotent
     return NilProbeReport(members, span, exact)
 

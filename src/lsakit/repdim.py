@@ -164,7 +164,7 @@ def lsa_from_cocycle(rep: Representation, phi: Matrix, name: str | None = None) 
     n = g.dim
     if rep.degree != n:
         raise CocycleError("construction needs a module of dimension dim g")
-    if phi.det() == 0:
+    if phi.rank() != n:
         raise CocycleError("cocycle is singular")
     if not _omega_in_z1(rep, phi):
         raise CocycleError("map is not a 1-cocycle for the representation")

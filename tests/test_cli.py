@@ -194,7 +194,7 @@ def test_words_prod():
 
 def test_words_rejects_bad_letters():
     proc = run_cli("words", "--prod", "AX", "B")
-    assert proc.returncode == 1
+    assert proc.returncode == 2
 
 
 def test_witt_props():
@@ -276,6 +276,7 @@ def test_bad_global_flag_exit_two(flags, a2_file):
         ("witt", "--props", "0", "3"),
         ("witt", "--props", "-1", "3"),
         ("witt", "--props", "1", "-2"),
+        ("witt", "--props", "1", "0"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -286,6 +287,22 @@ def test_bad_subcommand_integer_exit_two(argv):
     assert argv[1] in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("words", "--prod", "AC", "B"),
+        ("trees", "--graft", "o[", "o"),
+        ("trees", "--graft", "o[o]]", "o"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_unparsable_argument_exit_two(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"argument {argv[1]}" in proc.stderr
+
+
 def test_subcommand_integers_accept_their_bounds():
     assert run_cli("mu", "--pair", "200", "200").returncode == 0
     assert run_cli("--json", "mu", "--table", "0").returncode == 0
@@ -293,9 +310,9 @@ def test_subcommand_integers_accept_their_bounds():
     proc = run_cli("trees", "--count", "1")
     assert (proc.returncode, proc.stdout.strip()) == (0, "1")
     assert run_cli("trees", "--count", str(MAX_COUNT_ORDER)).returncode == 0
-    proc = run_cli("--json", "witt", "--props", "1", "0")
+    proc = run_cli("--json", "witt", "--props", "1", "1")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["cap"] == 0
+    assert json.loads(proc.stdout)["cap"] == 1
 
 
 def test_internal_inconsistency_exits_three(monkeypatch, capsys):

@@ -6,30 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lsakit.linalg import Matrix, Subspace, subspace_ops, solve
 from lsakit.scalars import QQ
-
-
-def _fraction_free_rref(rows):
-    """Independent oracle: fraction-free Gaussian elimination over Fraction,
-    normalized to RREF at the end."""
-    m = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for r, c in enumerate(pivots):
-        m[r] = [a / m[r][c] for a in m[r]]
-    return m, pivots
+from oracles import fraction_free_rref
 
 
 def _rand_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -56,11 +33,49 @@ def test_rref_against_fraction_free_oracle():
     for _ in range(25):
         m = _rand_matrix(rng, 5, 7)
         reduced, pivots, rank = m.rref()
-        oracle, oracle_pivots = _fraction_free_rref(m.data)
+        oracle, oracle_pivots = fraction_free_rref(m.data)
         assert list(pivots) == oracle_pivots
         assert rank == len(oracle_pivots)
         for row, orow in zip(reduced.data, oracle):
             assert [Fraction(int(x.numerator), int(x.denominator)) for x in row] == orow
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def rational_matrices(draw, max_rows=7, max_cols=7, square=False):
+    """Rational matrices, tall, wide or square, with zero rows, repeated rows
+    and rational combinations of rows mixed in."""
+    cols = draw(st.integers(1, max_cols))
+    rows = cols if square else draw(st.integers(1, max_rows))
+    row = st.lists(_rationals, min_size=cols, max_size=cols)
+    m = draw(st.lists(row, min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combine"]))
+        if kind == "zero":
+            new = [Fraction(0)] * cols
+        elif kind == "repeat":
+            new = list(draw(st.sampled_from(m)))
+        else:
+            r1, r2 = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            a, b = draw(_rationals), draw(_rationals)
+            new = [a * x + b * y for x, y in zip(r1, r2)]
+        if square:
+            m[draw(st.integers(0, rows - 1))] = new
+        else:
+            m.insert(draw(st.integers(0, len(m))), new)
+    return m
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rref_of_rational_matrices_against_oracle(rows):
+    reduced, pivots, rank = Matrix(rows).rref()
+    oracle, oracle_pivots = fraction_free_rref(rows)
+    assert list(pivots) == oracle_pivots
+    assert rank == len(oracle_pivots)
+    assert [list(row) for row in reduced.data] == oracle
 
 
 def test_rref_fixed_point():
@@ -216,6 +231,13 @@ def test_det_and_solve():
 
 def test_det_singular():
     assert Matrix([[1, 2], [2, 4]]).det() == 0
+
+
+@given(rational_matrices(max_cols=5, square=True))
+@settings(max_examples=100, deadline=None)
+def test_det_of_rational_matrices_against_cofactor_oracle(rows):
+    constant_polys = [[[x] for x in row] for row in rows]
+    assert Matrix(rows).det() == _cofactor_det(constant_polys)[0]
 
 
 @given(

@@ -8,6 +8,7 @@ from lsakit import cohomology
 from lsakit.algebra import Algebra
 from lsakit.cli import _analyze_algebra
 from lsakit.cohomology import lsa_cohomology
+from lsakit.linalg import Matrix
 from lsakit.radicals import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -47,6 +48,13 @@ def test_analyze_ranks_each_coboundary_once(monkeypatch):
     ranks = _count_calls(monkeypatch, cohomology, "sparse_rank")
     _analyze_algebra(a_two(), DEFAULT_SEED, DEFAULT_SAMPLES, 3)
     assert len(ranks) == 3
+
+
+def test_analyze_tests_each_basis_right_operator_for_nilpotency_once(monkeypatch):
+    A = a_two()
+    polys = _count_calls(monkeypatch, Matrix, "char_poly")
+    _analyze_algebra(A, DEFAULT_SEED, DEFAULT_SAMPLES, 3)
+    assert [sum(args[0] == R for args in polys) for R in A.right_ops()] == [1] * A.dim
 
 
 def test_cohomology_reuses_the_rank_of_the_previous_coboundary(monkeypatch):
