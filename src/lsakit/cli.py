@@ -42,7 +42,14 @@ from .trees import (
     rooted_tree_count,
 )
 from .words import format_word_sum, insert_product, parse_word
-from .witt import check_novikov_truncated, monomial_generators, witt_associator, TruncationError
+from .witt import (
+    MAX_WITT_TRIPLES,
+    TruncationError,
+    check_novikov_truncated,
+    generator_count,
+    monomial_generators,
+    witt_associator,
+)
 from .repdim import (
     MAX_ASYMPTOTIC_ARG,
     MAX_PARTITION_ARG,
@@ -359,7 +366,14 @@ def cmd_words(args) -> int:
 
 def cmd_witt(args) -> int:
     nvars, cap = args.props
-    gens = monomial_generators(nvars, min(cap, 3), cap)
+    degree = min(cap, 3)
+    count = generator_count(nvars, degree)
+    if count**3 > MAX_WITT_TRIPLES:
+        raise argparse.ArgumentTypeError(
+            f"--props {nvars} {cap}: {count} generators give {count**3} triples, "
+            f"over the {MAX_WITT_TRIPLES}-triple budget"
+        )
+    gens = monomial_generators(nvars, degree, cap)
     degs = [max(p.degree() for p in f.comps if not p.is_zero()) for f in gens]
     checked = 0
     for (f, df) in zip(gens, degs):
@@ -373,7 +387,7 @@ def cmd_witt(args) -> int:
                     _emit({"right_symmetric": False}, args.json)
                     return EXIT_FAILED
                 checked += 1
-    novikov = check_novikov_truncated(nvars, cap, max_degree=min(cap, 3))
+    novikov = check_novikov_truncated(nvars, cap, max_degree=degree)
     report = {
         "nvars": nvars,
         "cap": cap,

@@ -1,9 +1,13 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are immutable once built.  Every row reduction runs through one
-fraction-free integer engine, :func:`echelon`; the RREF of a matrix -- and
-hence the basis matrix of a :class:`Subspace` -- is a canonical form, so two
-subspaces are equal iff their basis matrices are identical.
+Matrices are dense and immutable once built.  Every row reduction runs
+through one fraction-free integer engine, :func:`echelon`; the RREF of a
+matrix -- and hence the basis matrix of a :class:`Subspace` -- is a
+canonical form, so two subspaces are equal iff their basis matrices are
+identical.  The closure ``Subspace.spin`` and the nilpotency test
+``Matrix.is_nilpotent`` work on each operator's sparse integer columns
+(``Matrix._integer_columns``) and on that engine, without fractions; the
+characteristic polynomial comes from a Hessenberg reduction.
 """
 
 from __future__ import annotations
@@ -18,21 +22,29 @@ from .polys import Poly
 def echelon(rows: Iterable[dict]) -> dict[int, dict[int, int]]:
     """An echelon basis over Z of the span of sparse integer rows
     {column -> int}, as {pivot column -> primitive row}: the only row
-    elimination in lsakit.  Fraction-free (after Bareiss 1968, with gcd
-    content removal in place of exact division): each row is reduced by the
-    stored pivot rows, leading column first, until it is zero or leads in a
-    new column.  Zero entries are ignored; the input rows are not changed."""
+    elimination in lsakit, one :func:`_insert` per row.  Zero entries are
+    ignored; the input rows are not changed."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = _primitive(r)
-                break
-            r = _eliminate(r, piv, c)
+        _insert(pivots, row)
     return pivots
+
+
+def _insert(pivots: dict, row: dict) -> dict | None:
+    """Add one sparse integer row to the echelon ``pivots`` in place and
+    return its new primitive pivot row, or None if the row lies in the span.
+    Fraction-free (after Bareiss 1968, with gcd content removal in place of
+    exact division): the row is reduced by the stored pivot rows, leading
+    column first, until it is zero or leads in a new column."""
+    r = {c: v for c, v in row.items() if v}
+    while r:
+        c = min(r)
+        piv = pivots.get(c)
+        if piv is None:
+            pivots[c] = r = _primitive(r)
+            return r
+        r = _eliminate(r, piv, c)
+    return None
 
 
 def _eliminate(r: dict, piv: dict, c: int) -> dict:
@@ -65,14 +77,46 @@ def _integer_row(row: Sequence) -> dict[int, int]:
     return {j: x.numerator * (d // x.denominator) for j, x in enumerate(row) if x}
 
 
+def _image(columns: tuple, row: dict) -> dict[int, int]:
+    """A sparse integer vector {index -> int} mapped by the integer matrix
+    whose nonzero (row, entry) pairs per column are ``columns``."""
+    out: dict[int, int] = {}
+    for j, v in row.items():
+        for i, a in columns[j]:
+            out[i] = out.get(i, 0) + a * v
+    return out
+
+
+def _reduced_rows(rows: dict[int, dict[int, int]], cols: int) -> list[list]:
+    """The RREF rows, in pivot order, of the span of an echelon
+    {pivot column -> integer row}: each row is back-substituted with the
+    elimination step of :func:`echelon` and divided by its pivot entry.
+    The echelon's rows are changed."""
+    pivots = sorted(rows)
+    for k in reversed(range(len(pivots))):
+        c = pivots[k]
+        for above in pivots[:k]:
+            if c in rows[above]:
+                rows[above] = _eliminate(rows[above], rows[c], c)
+    reduced = []
+    for c in pivots:
+        row, p = rows[c], rows[c][c]
+        dense = [ZERO] * cols
+        for j, v in row.items():
+            dense[j] = QQ(v, p)
+        reduced.append(dense)
+    return reduced
+
+
 class Matrix:
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_columns")
 
     def __init__(self, entries: Iterable[Sequence], cols: int | None = None):
         data = tuple(tuple(x if type(x) is QQ else QQ(x) for x in row) for row in entries)
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else (cols or 0)
+        self._columns = None
         for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
@@ -173,23 +217,33 @@ class Matrix:
     def row_list(self) -> list[list]:
         return [list(row) for row in self.data]
 
+    def _integer_columns(self) -> tuple:
+        """The nonzero (row, int) pairs of each column of D*self, where D is
+        the lcm of the entries' denominators.  D*M has the invariant
+        subspaces and the nilpotency of M.  Built once per matrix: matrices
+        are immutable, and the L/R operators are applied many times."""
+        if self._columns is None:
+            d = math.lcm(*(x.denominator for row in self.data for x in row if x))
+            self._columns = tuple(
+                tuple(
+                    (i, row[j].numerator * (d // row[j].denominator))
+                    for i, row in enumerate(self.data)
+                    if row[j]
+                )
+                for j in range(self.cols)
+            )
+        return self._columns
+
     def rref(self) -> tuple["Matrix", tuple[int, ...], int]:
         """Reduced row-echelon form; returns (reduced, pivot columns, rank).
         Each row is scaled by the lcm of its denominators, which keeps the
         span; the integer rows go through ``echelon``, are back-substituted
         with its elimination step and divided by their pivot entries."""
         rows = echelon(map(_integer_row, self.data))
-        pivots = sorted(rows)
-        for k in reversed(range(len(pivots))):
-            c = pivots[k]
-            for above in pivots[:k]:
-                if c in rows[above]:
-                    rows[above] = _eliminate(rows[above], rows[c], c)
-        reduced = [[ZERO] * self.cols for _ in range(self.rows)]
-        for dense, c in zip(reduced, pivots):
-            for j, v in rows[c].items():
-                dense[j] = QQ(v, rows[c][c])
-        return Matrix(reduced, cols=self.cols), tuple(pivots), len(pivots)
+        pivots = tuple(sorted(rows))
+        reduced = _reduced_rows(rows, self.cols)
+        reduced += [[ZERO] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix(reduced, cols=self.cols), pivots, len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -213,28 +267,72 @@ class Matrix:
         return -c0 if self.rows % 2 else c0
 
     def char_poly(self) -> Poly:
-        """Monic characteristic polynomial det(t*I - self), Faddeev-LeVerrier."""
+        """Monic characteristic polynomial det(t*I - self), in O(n^3): a
+        similarity to upper Hessenberg form H, then the recurrence on the
+        leading principal minors p_m = det(t*I - H_m) (H. Cohen, A Course in
+        Computational Algebraic Number Theory, 1993, Alg. 2.2.9)."""
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
-        coeffs = [ZERO] * (n + 1)
-        coeffs[n] = ONE
-        M = Matrix.identity(n)
-        for k in range(1, n + 1):
-            AM = self * M
-            c = -AM.trace() / k
-            coeffs[n - k] = c
-            if k < n:
-                M = Matrix(
-                    [
-                        [
-                            AM.data[i][j] + (c if i == j else ZERO)
-                            for j in range(n)
-                        ]
-                        for i in range(n)
-                    ]
-                )
-        return Poly(coeffs)
+        h = self.row_list()
+        for m in range(1, n - 1):
+            # clear column m-1 below the subdiagonal, pivoting on row m
+            i = next((i for i in range(m, n) if h[i][m - 1]), None)
+            if i is None:
+                continue
+            if i != m:
+                h[i], h[m] = h[m], h[i]
+                for row in h:
+                    row[i], row[m] = row[m], row[i]
+            pivot_row = h[m]
+            for i in range(m + 1, n):
+                u = h[i][m - 1] / pivot_row[m - 1]
+                if not u:
+                    continue
+                # row_i -= u row_m, then column_m += u column_i
+                row = h[i]
+                for j in range(m - 1, n):
+                    if pivot_row[j]:
+                        row[j] -= u * pivot_row[j]
+                for row in h:
+                    if row[i]:
+                        row[m] += u * row[i]
+        # p_m = (t - h_mm) p_(m-1) - sum_(i<m) h_im (h_(m,m-1) ... h_(i+1,i)) p_(i-1)
+        polys = [[ONE]]
+        for m in range(n):
+            p = [ZERO] + polys[m]
+            for k, c in enumerate(polys[m]):
+                p[k] -= h[m][m] * c
+            t = ONE
+            for i in range(m - 1, -1, -1):
+                t *= h[i + 1][i]
+                if not t:
+                    break
+                f = h[i][m] * t
+                if f:
+                    for k, c in enumerate(polys[i]):
+                        p[k] -= f * c
+            polys.append(p)
+        return Poly(polys[n])
+
+    def is_nilpotent(self) -> bool:
+        """Whether some power of this square matrix is zero, by the image
+        chain K^n >= M K^n >= M^2 K^n >= ... on the integer columns of D*M:
+        nilpotent iff the chain reaches 0, and it stops at a nonzero term as
+        soon as one step fails to shrink it, within n steps."""
+        if self.rows != self.cols:
+            raise ValueError("nilpotency of a non-square matrix")
+        columns = self._integer_columns()
+        images = [dict(c) for c in columns]
+        dim = self.rows
+        while True:
+            pivots = echelon(images)
+            if not pivots:
+                return True
+            if len(pivots) == dim:
+                return False
+            dim = len(pivots)
+            images = [_image(columns, row) for row in pivots.values()]
 
 
 class Subspace:
@@ -256,7 +354,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        reduced, _, rank = Matrix(vectors).rref()
+        m = Matrix(vectors)
+        if m.rows and m.cols != ambient_dim:
+            raise ValueError(f"vectors of length {m.cols} in K^{ambient_dim}")
+        reduced, _, rank = m.rref()
         return cls(ambient_dim, Matrix(reduced.data[:rank], cols=ambient_dim))
 
     @classmethod
@@ -314,17 +415,31 @@ class Subspace:
 
     def spin(self, ops: Sequence[Matrix]) -> "Subspace":
         """The smallest subspace that contains self and is invariant under
-        every operator in ops.  Each pass maps only a basis of what the pass
-        before added modulo the span, skipping zero images; it ends when no
-        image leaves the span."""
-        current = frontier = self
-        while True:
-            images = (op.matvec(v) for v in frontier.basis.data for op in ops)
-            residues = [r for r in map(current.reduce, filter(any, images)) if any(r)]
-            if not residues:
-                return current
-            frontier = Subspace.from_vectors(self.ambient_dim, residues)
-            current = current.sum(frontier)
+        every operator in ops, found fraction-free: every new primitive row
+        of the integer echelon is mapped by each D*op (see
+        ``Matrix._integer_columns``) and its image inserted.  It ends when no
+        image is new, or as soon as the rows span the ambient space."""
+        n = self.ambient_dim
+        if any(op.rows != n or op.cols != n for op in ops):
+            raise ValueError(f"spin needs {n}x{n} operators")
+        if self.dim == n:
+            return self
+        columns = [op._integer_columns() for op in ops]
+        pivots: dict[int, dict[int, int]] = {}
+        frontier = [_insert(pivots, _integer_row(v)) for v in self.basis.data]
+        while frontier:
+            new = []
+            for row in frontier:
+                for cols in columns:
+                    added = _insert(pivots, _image(cols, row))
+                    if added is not None:
+                        if len(pivots) == n:
+                            return Subspace.full(n)
+                        new.append(added)
+            frontier = new
+        if len(pivots) == self.dim:
+            return self
+        return Subspace(n, Matrix(_reduced_rows(pivots, n), cols=n))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -366,6 +481,8 @@ def subspace_ops(a: Subspace, b: Subspace) -> dict:
 
 def solve(a: Matrix, b: Sequence):
     """One solution x of a @ x = b, or None if inconsistent."""
+    if len(b) != a.rows:
+        raise ValueError(f"{len(b)} right-hand sides for {a.rows} equations")
     n = a.cols
     aug = Matrix([list(row) + [QQ(x)] for row, x in zip(a.data, b)])
     reduced, pivots, rank = aug.rref()

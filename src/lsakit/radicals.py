@@ -10,9 +10,10 @@ Four nested subspaces are computed for an LSA:
 
 Completeness is decided by the linear trace condition (the only finitely
 checkable one of the five equivalent characterizations); nilpotency of each
-R(e_i) and invertibility of Id + R(e_i) are recomputed as witnesses, and a
-disagreement raises InternalInconsistencyError since it would contradict the
-equivalence theorem rather than the input.
+R(e_i) (an image chain over the integers, shared with the nil-set probe) and
+invertibility of Id + R(e_i) are recomputed as witnesses, and a disagreement
+raises InternalInconsistencyError since it would contradict the equivalence
+theorem rather than the input.
 
 The maximal solvable/left-nilpotent ideals have no exact general algorithm
 at this level: they are saturated from a deterministic probe family and the
@@ -43,7 +44,7 @@ from .algebra import (
     vec,
     vec_add,
 )
-from .polys import Poly, all_roots_real
+from .polys import all_roots_real
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_SAMPLES = 32
@@ -104,20 +105,25 @@ def _seeded_probes(n: int, seed: int, samples: int) -> list[Vec]:
 
 
 @memoized
+def _right_nilpotent(A: Algebra, x: Vec) -> bool:
+    """Whether R(x) is nilpotent; each probe is tested once per algebra."""
+    return A.right_matrix(x).is_nilpotent()
+
+
+@memoized
 def is_complete(A: Algebra, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> CompletenessReport:
     """Complete iff tr R(x) = 0 for all x (linear, so basis traces decide).
 
-    Cross-checks: char_poly(R(e_i)) = t^n (right multiplications nilpotent,
-    read from the nil-set probe) and Id + R(x) nonsingular on the basis and
-    seeded samples.  For a complete algebra all three must agree;
-    disagreement is an internal error.
+    Cross-checks: every R(e_i) nilpotent (the image-chain test, shared with
+    the nil-set probe) and Id + R(x) nonsingular on the basis and seeded
+    samples.  For a complete algebra all three must agree; disagreement is
+    an internal error.
     """
     _require_lsa(A)
     n = A.dim
     traces = trace_vector(A)
     complete = is_zero_vec(traces)
-    members = nil_set_probe(A, seed, samples).members
-    nilpotent = all(basis_vec(n, i) in members for i in range(1, n + 1))
+    nilpotent = all(_right_nilpotent(A, basis_vec(n, i)) for i in range(1, n + 1))
     invertible = all(
         (Matrix.identity(n) + A.right_matrix(x)).rank() == n
         for x in _seeded_probes(n, seed, samples)
@@ -338,17 +344,15 @@ class NilProbeReport:
 def nil_set_probe(
     A: Algebra, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 ) -> NilProbeReport:
-    """Membership probe for S = {a : R(a) nilpotent} via char_poly = t^n.
+    """Membership probe for S = {a : R(a) nilpotent}, each probe tested by
+    the image chain of ``Matrix.is_nilpotent``.
 
     S is only known to be a subspace when the commutator Lie algebra is
     nilpotent (then S equals the radical); otherwise the span of confirmed
     members is reported as a probe, not as S."""
     n = A.dim
     probes = _seeded_probes(n, seed, samples)
-    t_n = Poly.x_power(n)
-    # a probe drawn twice is tested once
-    nilpotent = {p: A.right_matrix(p).char_poly() == t_n for p in set(probes)}
-    members = tuple(p for p in probes if nilpotent[p])
+    members = tuple(p for p in probes if _right_nilpotent(A, p))
     span = Subspace.from_vectors(n, members)
     exact = A.is_left_symmetric() and A.commutator_lie().properties().nilpotent
     return NilProbeReport(members, span, exact)

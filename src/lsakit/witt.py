@@ -11,11 +11,17 @@ comparison of a truncated value raises TruncationError.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .scalars import QQ, ZERO
 from .radicals import InternalInconsistencyError
+
+
+# generator triples one `witt --props` run may visit; the largest accepted
+# input, NVARS 7 at CAP 1 (56 generators), takes about 30 s on a 2-vCPU host
+MAX_WITT_TRIPLES = 200_000
 
 
 class TruncationError(ValueError):
@@ -256,6 +262,12 @@ def witt_associator(f: VecField, g: VecField, h: VecField) -> VecField:
             "associator expansion disagrees with the closed form"
         )
     return expansion
+
+
+def generator_count(nvars: int, max_degree: int) -> int:
+    """len(monomial_generators(nvars, max_degree, cap)), in closed form:
+    nvars directions times C(nvars + max_degree, max_degree) monomials."""
+    return nvars * math.comb(nvars + max_degree, max_degree)
 
 
 def monomial_generators(nvars: int, max_degree: int, cap: int):

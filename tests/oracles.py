@@ -25,3 +25,24 @@ def fraction_free_rref(rows):
     for r, c in enumerate(pivots):
         m[r] = [a / m[r][c] for a in m[r]]
     return m, pivots
+
+
+def closure(vectors, ops):
+    """The smallest subspace containing ``vectors`` and invariant under the
+    square matrices ``ops`` (lists of rows), over Fraction: the images of
+    the current basis under every operator are added until the rank stops
+    growing.  Returns the RREF basis rows."""
+    basis, _ = fraction_free_rref(vectors) if vectors else ([], [])
+    basis = [row for row in basis if any(row)]
+    while True:
+        images = [
+            [sum(a * x for a, x in zip(op_row, v)) for op_row in op]
+            for v in basis
+            for op in ops
+        ]
+        if not basis + images:
+            return []
+        grown, pivots = fraction_free_rref(basis + images)
+        if len(pivots) == len(basis):
+            return basis
+        basis = grown[: len(pivots)]

@@ -277,6 +277,12 @@ def test_bad_global_flag_exit_two(flags, a2_file):
         ("witt", "--props", "-1", "3"),
         ("witt", "--props", "1", "-2"),
         ("witt", "--props", "1", "0"),
+        ("witt", "--props", "8", "1"),
+        ("witt", "--props", "3", "5"),
+        ("witt", "--props", "4", "2"),
+        ("witt", "--props", "4", "3"),
+        ("witt", "--props", "8", "3"),
+        ("witt", "--props", "1000", "3"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -313,6 +319,11 @@ def test_subcommand_integers_accept_their_bounds():
     proc = run_cli("--json", "witt", "--props", "1", "1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["cap"] == 1
+    # the largest accepted input: 7 * C(8, 1) = 56 generators; the next
+    # generator count, 60, is refused
+    proc = run_cli("--json", "witt", "--props", "7", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["right_symmetric_on_untruncated"]
 
 
 def test_internal_inconsistency_exits_three(monkeypatch, capsys):

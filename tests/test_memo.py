@@ -5,7 +5,7 @@ cached answer cannot go stale."""
 import pytest
 
 from lsakit import cohomology
-from lsakit.algebra import Algebra
+from lsakit.algebra import Algebra, LieAlgebra
 from lsakit.cli import _analyze_algebra
 from lsakit.cohomology import lsa_cohomology
 from lsakit.linalg import Matrix
@@ -52,9 +52,20 @@ def test_analyze_ranks_each_coboundary_once(monkeypatch):
 
 def test_analyze_tests_each_basis_right_operator_for_nilpotency_once(monkeypatch):
     A = a_two()
-    polys = _count_calls(monkeypatch, Matrix, "char_poly")
+    tests = _count_calls(monkeypatch, Matrix, "is_nilpotent")
     _analyze_algebra(A, DEFAULT_SEED, DEFAULT_SAMPLES, 3)
-    assert [sum(args[0] == R for args in polys) for R in A.right_ops()] == [1] * A.dim
+    assert [sum(args[0] == R for args in tests) for R in A.right_ops()] == [1] * A.dim
+
+
+def test_lone_completeness_check_skips_the_nil_probe(monkeypatch):
+    lie = _count_calls(monkeypatch, LieAlgebra, "properties")
+    tests = _count_calls(monkeypatch, Matrix, "is_nilpotent")
+    A = a_two()
+    assert not is_complete(A).complete
+    assert lie == []
+    # only basis operators, until one is not nilpotent
+    assert 0 < len(tests) <= A.dim
+    assert all(args[0] in A.right_ops() for args in tests)
 
 
 def test_cohomology_reuses_the_rank_of_the_previous_coboundary(monkeypatch):

@@ -8,6 +8,7 @@ from lsakit.witt import (
     TruncPoly,
     VecField,
     check_novikov_truncated,
+    generator_count,
     monomial_generators,
     vec_associator,
     vec_product,
@@ -152,3 +153,10 @@ def test_novikov_vacuous_on_empty_generator_budget():
     report = check_novikov_truncated(1, 2, max_degree=0)
     # only constant fields: every product is zero, trivially Novikov
     assert report.holds
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 3])
+def test_generator_count_is_the_number_of_generators(nvars, max_degree):
+    gens = monomial_generators(nvars, max_degree, max(max_degree, 1))
+    assert generator_count(nvars, max_degree) == len(gens)
