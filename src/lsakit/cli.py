@@ -239,6 +239,8 @@ def cmd_cohomology(args) -> int:
     obj = document_to_algebra(doc)
     if isinstance(obj, LieAlgebra):
         raise DocumentError("cohomology subcommand expects an LSA document")
+    if (witness := obj.left_symmetry_witness()) is not None:
+        raise NotLeftSymmetricError(witness)
     report = {"name": obj.name, "dim": obj.dim, "derivations": derivation_space(obj).dim}
     for p in range(1, args.degree_cap + 1):
         dims = lsa_cohomology(obj, p)

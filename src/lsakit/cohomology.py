@@ -263,7 +263,8 @@ class CohomologyDims:
 
 def lsa_cohomology(A: Algebra, p: int) -> CohomologyDims:
     """dim Z^p, B^p, H^p of the left-symmetric complex, exactly.  The rank
-    of each d_q is computed once per algebra and shared between degrees."""
+    of each d_q is computed once per algebra and shared between degrees.
+    A must be left-symmetric (d o d = 0 needs it); this is not checked."""
     if not 1 <= p <= MAX_LSA_DEGREE:
         raise DegreeError(f"degree must be in 1..{MAX_LSA_DEGREE}")
     n = A.dim

@@ -1,10 +1,11 @@
 """Exact univariate polynomials over the rationals.
 
 Provides the pieces the algebra layer leans on: Sturm-sequence real root
-counting (for the "all eigenvalues real" clan test) and rational
-factorization of small-degree polynomials by square-free decomposition plus
-Kronecker's interpolation-divisor search (exact, perfectly adequate at the
-desk degrees <= 8 that arise from characteristic polynomials here).
+counting on one primitive integer chain per polynomial (for the "all
+eigenvalues real" clan test) and rational factorization of small-degree
+polynomials by square-free decomposition plus Kronecker's
+interpolation-divisor search (exact, perfectly adequate at the desk degrees
+<= 8 that arise from characteristic polynomials here).
 """
 
 from __future__ import annotations
@@ -183,60 +184,55 @@ def squarefree_decomposition(p: Poly) -> tuple[object, list[tuple[Poly, int]]]:
     return content, out
 
 
-def squarefree_part(p: Poly) -> Poly:
-    _, factors = squarefree_decomposition(p)
-    out = Poly([ONE])
-    for q, _ in factors:
-        out = out * q
-    return out
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
-        if r.is_zero():
+def _root_counts(p: Poly) -> tuple[int, int]:
+    """(distinct real roots, distinct complex roots) of p, degree >= 1, from
+    one Sturm chain of primitive integer lists: p over Z, p', then the
+    negated pseudo-remainders -(|lc(b)|^(delta+1) a mod b), each made
+    primitive; only positive factors are taken out, so every sign is kept.
+    The chain ends at g = gcd(p, p') and is g times a Sturm chain of p/g
+    (Collins 1967): square-free p or not, its sign changes at -oo less those
+    at +oo count the real roots, and deg p - deg g the complex ones."""
+    d = math.lcm(*(c.denominator for c in p.coeffs))
+    a = _primitive([c.numerator * (d // c.denominator) for c in p.coeffs])
+    b = _primitive([k * c for k, c in enumerate(a)][1:])
+    chain = [a, b]
+    while len(b) > 1:
+        r, lb, sb = list(a), abs(b[-1]), (1 if b[-1] > 0 else -1)
+        for k in range(len(a) - len(b), -1, -1):
+            top = sb * r.pop()
+            r = [lb * c for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[k + i] -= top * c
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
             break
-        chain.append(-r)
-    return chain
-
-
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        a, b = b, _primitive([-c for c in r])
+        chain.append(b)
+    # each member's sign at -oo and at +oo
+    ends = [((q[-1] > 0) == (len(q) % 2 == 1), q[-1] > 0) for q in chain]
+    real = sum((m != n) - (s != t) for (m, s), (n, t) in zip(ends, ends[1:]))
+    return real, p.degree - len(b) + 1
 
 
 def real_root_count(p: Poly) -> int:
     """Number of *distinct* real roots, by an exact Sturm sequence."""
     if p.is_zero():
         raise ValueError("root count of the zero polynomial")
-    if p.degree == 0:
-        return 0
-    sf = squarefree_part(p)
-    if sf.degree == 0:
-        return 0
-    chain = sturm_chain(sf)
-    at_minus = [_sign(q.leading()) * (-1) ** q.degree for q in chain if not q.is_zero()]
-    at_plus = [_sign(q.leading()) for q in chain if not q.is_zero()]
-    return _variations(at_minus) - _variations(at_plus)
-
-
-def real_root_count_with_multiplicity(p: Poly) -> int:
-    if p.is_zero():
-        raise ValueError("root count of the zero polynomial")
-    _, factors = squarefree_decomposition(p)
-    return sum(mult * real_root_count(q) for q, mult in factors)
+    return _root_counts(p)[0] if p.degree > 0 else 0
 
 
 def all_roots_real(p: Poly) -> bool:
     """True iff every complex root of p is real (counted with multiplicity)."""
     if p.is_zero():
         raise ValueError("all-roots-real test on the zero polynomial")
-    return real_root_count_with_multiplicity(p) == p.degree
+    real, distinct = _root_counts(p) if p.degree > 0 else (0, 0)
+    return real == distinct
 
 
 # ---------------------------------------------------------------------------

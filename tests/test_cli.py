@@ -154,6 +154,18 @@ def test_cohomology_subcommand(a2_file):
     assert report["H1"]["cocycles"] == report["derivations"]
 
 
+@pytest.mark.parametrize("subcommand", ["analyze", "cohomology"])
+def test_not_left_symmetric_exits_one(subcommand, tmp_path):
+    # d o d != 0 here, so cohomology numbers would mean nothing
+    f = tmp_path / "nonlsa.alg"
+    f.write_text("name: nonlsa\nkind: lsa\ndim: 2\ntable:\n1 1 2 1\n2 1 1 1\n")
+    proc = run_cli(subcommand, str(f))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "NotLeftSymmetricError" in proc.stderr
+    assert "(1, 2, 1)" in proc.stderr
+
+
 def test_simple_subcommand(a2_file):
     proc = run_cli("--json", "simple", a2_file)
     report = json.loads(proc.stdout)
