@@ -59,7 +59,6 @@ from .simplicity import (
     heisenberg,
     incomplete_simple,
     is_simple,
-    multiplication_algebra,
     strict_upper,
     structural_fingerprint,
 )

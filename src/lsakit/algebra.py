@@ -10,18 +10,23 @@ Algebras are immutable: the table is a read-only mapping of read-only rows
 and attributes cannot be rebound.  That makes every invariant a function of
 the object alone, so each is computed once and kept in the object's private
 memo (see :func:`memoized`).
+
+Products, product spans, the L/R operators and the identity checks run over
+Z, on the support of an integer structure tensor D c_{ij}^k (D the lcm of
+the denominators) that is built on first use and kept in that memo.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import QQ, ZERO, ONE
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _insert, _reduced_rows
 
 Vec = tuple
 
@@ -122,6 +127,31 @@ def _normalize_table(dim: int, table: Mapping) -> MappingProxyType:
     return MappingProxyType(out)
 
 
+def _product(rows: tuple, u: Iterable, v: Iterable) -> dict[int, int]:
+    """D (u . v) on the tensor ``rows`` of ``Algebra._tensor``, for integer
+    vectors u, v as (index, int) pairs; cancelled entries stay, as zeros."""
+    out: dict[int, int] = {}
+    for i, a in u:
+        row = rows[i]
+        if row:
+            for j, b in v:
+                entries = row.get(j)
+                if entries:
+                    f = a * b
+                    for k, c in entries:
+                        out[k] = out.get(k, 0) + f * c
+    return out
+
+
+def _combination(*terms) -> dict[int, int]:
+    """The nonzero entries of sum s w over the (sign s, vector w) terms."""
+    out: dict[int, int] = {}
+    for s, w in terms:
+        for k, c in w.items():
+            out[k] = out.get(k, 0) + s * c
+    return {k: c for k, c in out.items() if c}
+
+
 class Algebra(_Frozen):
     """Structure-constant algebra over the rationals; immutable."""
 
@@ -154,24 +184,36 @@ class Algebra(_Frozen):
             out[k - 1] = c
         return tuple(out)
 
-    def multiply(self, x: Sequence, y: Sequence) -> Vec:
-        if len(x) != self.dim or len(y) != self.dim:
+    def _tensor(self) -> tuple[int, tuple]:
+        """(D, rows) with rows[i] = {j: ((k, D c_{ij}^k), ...)}, 0-based; built
+        on first use, never in ``__init__``, and kept in the memo."""
+        if "tensor" not in self._memo:
+            self._memo["tensor"] = self._integer_tensor()
+        return self._memo["tensor"]
+
+    def _integer_tensor(self) -> tuple[int, tuple]:
+        d = math.lcm(*(c.denominator for e in self.table.values() for c in e.values()))
+        rows: tuple[dict, ...] = tuple({} for _ in range(self.dim))
+        for (i, j), entry in self.table.items():
+            rows[i - 1][j - 1] = tuple((k - 1, c.numerator * (d // c.denominator))
+                                       for k, c in entry.items())
+        return d, rows
+
+    def _integer_vector(self, x: Sequence) -> tuple[list, int]:
+        """(the (index, int) pairs of d x, d) for d the lcm of x's denominators."""
+        if len(x) != self.dim:
             raise ValueError("vector dimension mismatch")
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
-            xi = x[i]
-            if not xi:
-                continue
-            for j in range(self.dim):
-                yj = y[j]
-                if not yj:
-                    continue
-                entry = self.table.get((i + 1, j + 1))
-                if entry:
-                    f = xi * yj
-                    for k, c in entry.items():
-                        out[k - 1] += f * c
-        return tuple(out)
+        d = math.lcm(*(c.denominator for c in x))
+        return [(j, c.numerator * (d // c.denominator)) for j, c in enumerate(x) if c], d
+
+    def _vector(self, w: dict, scale: int) -> Vec:
+        """The exact vector of a product w = D scale (u . v) from the tensor."""
+        d = self._tensor()[0] * scale
+        return tuple(QQ(w[k], d) if w.get(k) else ZERO for k in range(self.dim))
+
+    def multiply(self, x: Sequence, y: Sequence) -> Vec:
+        (u, du), (v, dv) = self._integer_vector(x), self._integer_vector(y)
+        return self._vector(_product(self._tensor()[1], u, v), du * dv)
 
     def associator(self, x: Sequence, y: Sequence, z: Sequence) -> Vec:
         return vec_sub(
@@ -179,23 +221,24 @@ class Algebra(_Frozen):
             self.multiply(x, self.multiply(y, z)),
         )
 
-    def _assoc_basis(self, i: int, j: int, k: int) -> Vec:
-        ei, ej, ek = (basis_vec(self.dim, t) for t in (i, j, k))
-        return vec_sub(
-            self.multiply(self.prod_basis_vec(i, j), ek),
-            self.multiply(ei, self.multiply(ej, ek)),
-        )
+    def _assoc_basis(self, i: int, j: int, k: int) -> dict[int, int]:
+        """D^2 times the associator (e_i e_j) e_k - e_i (e_j e_k), as its
+        nonzero entries {0-based index -> int}, read off the tensor."""
+        rows = self._tensor()[1]
+        i, j, k = i - 1, j - 1, k - 1
+        return _combination((1, _product(rows, rows[i].get(j, ()), ((k, 1),))),
+                            (-1, _product(rows, ((i, 1),), rows[j].get(k, ()))))
 
     # -- operators ---------------------------------------------------------
 
     def left_matrix(self, x: Sequence) -> Matrix:
-        n = self.dim
-        cols = [self.multiply(x, basis_vec(n, j)) for j in range(1, n + 1)]
+        (u, du), rows = self._integer_vector(x), self._tensor()[1]
+        cols = [self._vector(_product(rows, u, ((j, 1),)), du) for j in range(self.dim)]
         return Matrix.from_columns(cols)
 
     def right_matrix(self, x: Sequence) -> Matrix:
-        n = self.dim
-        cols = [self.multiply(basis_vec(n, j), x) for j in range(1, n + 1)]
+        (u, du), rows = self._integer_vector(x), self._tensor()[1]
+        cols = [self._vector(_product(rows, ((j, 1),), u), du) for j in range(self.dim)]
         return Matrix.from_columns(cols)
 
     def left_right_ops(self, x: Sequence) -> tuple[Matrix, Matrix]:
@@ -231,9 +274,19 @@ class Algebra(_Frozen):
         return tuple(M for M in ops if not M.is_zero())
 
     def product_span(self, U: Subspace, V: Subspace) -> Subspace:
-        """span{u . v : u in U, v in V}."""
-        vecs = [self.multiply(u, v) for u in U.basis.data for v in V.basis.data]
-        return Subspace.from_vectors(self.dim, [w for w in vecs if any(w)])
+        """span{u . v : u in U, v in V}: integer basis rows (U's serve for V
+        when V is U) multiplied on the tensor into one echelon, RREF once."""
+        n = self.dim
+        rows = self._tensor()[1]
+        us = [self._integer_vector(u)[0] for u in U.basis.data]
+        vs = us if V is U else [self._integer_vector(v)[0] for v in V.basis.data]
+        pivots: dict[int, dict[int, int]] = {}
+        for u in us:
+            for v in vs:
+                _insert(pivots, _product(rows, u, v))
+                if len(pivots) == n:
+                    return Subspace.full(n)
+        return Subspace(n, Matrix(_reduced_rows(pivots, n), cols=n))
 
     def power_series(self, I: Subspace, left: Subspace | None = None) -> list[Subspace]:
         """I, I^2, I^3, ... with I^(k+1) = I^(k) . I^(k) (the derived series),
@@ -286,8 +339,8 @@ class Algebra(_Frozen):
 
     def is_associative(self) -> bool:
         n = self.dim
-        return all(
-            is_zero_vec(self._assoc_basis(i, j, k))
+        return not any(
+            self._assoc_basis(i, j, k)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             for k in range(1, n + 1)
@@ -307,14 +360,13 @@ class Algebra(_Frozen):
     def novikov_right_witness(self):
         """Violating triple of x o (y o z) = y o (x o z), else None."""
         n = self.dim
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(1, n + 1):
-                    ei, ej, ek = (basis_vec(n, t) for t in (i, j, k))
-                    lhs = self.multiply(ei, self.multiply(ej, ek))
-                    rhs = self.multiply(ej, self.multiply(ei, ek))
-                    if lhs != rhs:
-                        return (i, j, k)
+        rows = self._tensor()[1]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    if _combination((1, _product(rows, ((i, 1),), rows[j].get(k, ()))),
+                                    (-1, _product(rows, ((j, 1),), rows[i].get(k, ())))):
+                        return (i + 1, j + 1, k + 1)
         return None
 
     def is_novikov_right(self) -> bool:
@@ -413,17 +465,15 @@ class Algebra(_Frozen):
                 w[c] = x
             return tuple(w)
 
-        d = len(free)
+        # lift(e_a) is the basis vector e_free[a], so the products are table rows
         table = {}
-        for a in range(d):
-            for b in range(d):
-                prod = self.multiply(lift(basis_vec(d, a + 1)), lift(basis_vec(d, b + 1)))
-                entry = {
-                    k + 1: c for k, c in enumerate(project(prod)) if c != 0
-                }
+        for a, fa in enumerate(free, start=1):
+            for b, fb in enumerate(free, start=1):
+                prod = self.prod_basis_vec(fa + 1, fb + 1)
+                entry = {k + 1: c for k, c in enumerate(project(prod)) if c != 0}
                 if entry:
-                    table[(a + 1, b + 1)] = entry
-        return Algebra(name or f"{self.name}/I", d, table), project, lift
+                    table[(a, b)] = entry
+        return Algebra(name or f"{self.name}/I", len(free), table), project, lift
 
 
 @dataclass(frozen=True)
@@ -471,20 +521,15 @@ class LieAlgebra(_Frozen):
         return self.as_algebra().multiply(x, y)
 
     def _check_jacobi(self):
+        """The cyclic sum of [[e_i,e_j],e_k], i < j < k, on the bracket's tensor."""
         n = self.dim
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    ei, ej, ek = (basis_vec(n, t) for t in (i, j, k))
-                    s = vec_add(
-                        self.bracket(self.bracket(ei, ej), ek),
-                        vec_add(
-                            self.bracket(self.bracket(ej, ek), ei),
-                            self.bracket(self.bracket(ek, ei), ej),
-                        ),
-                    )
-                    if not is_zero_vec(s):
-                        raise JacobiError((i, j, k))
+        rows = self.as_algebra()._tensor()[1]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    if _combination(*((1, _product(rows, rows[a].get(b, ()), ((c, 1),)))
+                                      for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))):
+                        raise JacobiError((i + 1, j + 1, k + 1))
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"

@@ -34,7 +34,6 @@ associative multiplication cochain mu.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -176,7 +175,7 @@ def _coboundary_rows(A: Algebra, p: int):
     structure constants; entries that cancel are dropped, rows that cancel
     to empty are kept."""
     n = A.dim
-    scale = math.lcm(*(c.denominator for e in A.table.values() for c in e.values()))
+    scale, tensor = A._tensor()
     rows: dict[int, dict[int, int]] = {}
     if p == 0:
         return rows, scale
@@ -197,11 +196,7 @@ def _coboundary_rows(A: Algebra, p: int):
             del row[col]
 
     # prod[i][j] = D (e_i . e_j) as {0-based component -> int}
-    prod = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j), entry in A.table.items():
-        prod[i - 1][j - 1] = {
-            k - 1: c.numerator * (scale // c.denominator) for k, c in entry.items()
-        }
+    prod = [[dict(tensor[i].get(j, ())) for j in range(n)] for i in range(n)]
     # hits[m][a]: the (d, D c_ad^m) with c_ad^m != 0; brk[m]: the (a, d, D
     # c_ad^m - D c_da^m) that do not vanish
     hits = [[[(d, prod[a][d][m]) for d in range(n) if m in prod[a][d]]

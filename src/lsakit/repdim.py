@@ -260,23 +260,6 @@ def partition_numbers(upto: int) -> list[int]:
     return [_partition(j) for j in range(upto + 1)]
 
 
-def partition_count_enumerated(j: int) -> int:
-    """Exhaustive enumeration oracle (partitions with parts <= m), small j."""
-
-    @lru_cache(maxsize=None)
-    def count(remaining: int, max_part: int) -> int:
-        if remaining == 0:
-            return 1
-        if max_part == 0:
-            return 0
-        return sum(
-            count(remaining - part, min(part, remaining - part))
-            for part in range(min(max_part, remaining), 0, -1)
-        )
-
-    return count(j, j)
-
-
 def p_nk(n: int, k: int) -> int:
     """p(n,k) = sum_{j=0}^{k} C(n-j, k-j) p(j); 0 <= k <= n <= 200."""
     if not 0 <= k <= n <= MAX_PARTITION_ARG:

@@ -58,30 +58,6 @@ class SimplicityVerdict:
         return self.verdict is Verdict.SIMPLE
 
 
-def multiplication_algebra(A: Algebra) -> list[Matrix]:
-    """Basis of the associative algebra generated by Id and all L(e_i),
-    R(e_i), closed under products; dimension stabilizes the closure."""
-    n = A.dim
-    gens = [Matrix.identity(n), *A.side_ops("two_sided")]
-
-    def flatten(M: Matrix):
-        return [x for row in M.data for x in row]
-
-    basis: list[Matrix] = []
-    span = Subspace.zero(n * n)
-    queue = list(gens)
-    while queue:
-        M = queue.pop(0)
-        if span.contains_vector(flatten(M)):
-            continue
-        span = span.sum(Subspace.from_vectors(n * n, [flatten(M)]))
-        basis.append(M)
-        for G in gens:
-            queue.append(M * G)
-            queue.append(G * M)
-    return basis
-
-
 def _verified_ideal(A: Algebra, I: Subspace) -> Subspace:
     """I itself, after checking that it is a two-sided ideal: a NotSimple
     witness is verified, also under ``python -O``."""

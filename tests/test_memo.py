@@ -44,6 +44,14 @@ def test_analyze_checks_left_symmetry_once(monkeypatch):
     assert len(scans) == one_scan
 
 
+def test_integer_tensor_is_built_on_first_use_and_once(monkeypatch):
+    builds = _count_calls(monkeypatch, Algebra, "_integer_tensor")
+    A = a_two()
+    assert A._memo == {} and builds == []
+    _analyze_algebra(A, DEFAULT_SEED, DEFAULT_SAMPLES, 3)
+    assert sum(args[0] is A for args in builds) == 1
+
+
 def test_analyze_ranks_each_coboundary_once(monkeypatch):
     ranks = _count_calls(monkeypatch, cohomology, "sparse_rank")
     _analyze_algebra(a_two(), DEFAULT_SEED, DEFAULT_SAMPLES, 3)

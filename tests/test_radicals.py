@@ -26,7 +26,8 @@ from lsakit.radicals import (
     trace_subspace,
 )
 from lsakit.scalars import QQ
-from lsakit.simplicity import catalog_lsas, multiplication_algebra
+from lsakit.simplicity import catalog_lsas
+from oracles import multiplication_algebra
 
 CATALOG_LSAS = sorted(catalog_lsas().items())
 

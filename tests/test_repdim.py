@@ -27,12 +27,12 @@ from lsakit.repdim import (
     mu_formulas,
     mu_table,
     p_nk,
-    partition_count_enumerated,
     partition_numbers,
     unimodality_check,
 )
 from lsakit.scalars import QQ
 from lsakit.simplicity import a_one, catalog_lsas, heisenberg
+from oracles import partition_count_enumerated
 
 
 # -- interval plumbing -------------------------------------------------------

@@ -15,11 +15,11 @@ from lsakit.simplicity import (
     heisenberg,
     incomplete_simple,
     is_simple,
-    multiplication_algebra,
     strict_upper,
     structural_fingerprint,
 )
 from lsakit.radicals import ideal_generated
+from oracles import multiplication_algebra
 
 
 def test_ideal_generated_family_reaches_everything():
